@@ -5,20 +5,21 @@ in the mirror variable y = grad phi(x) - gamma grad f(x) and returns to the
 primal space through the conjugate gradient map and a kernel-aware proximal
 step. Extrapolation happens in the mirror variable, which is unconstrained
 whenever the kernel has a conjugate defined on all of R^n; the guard keeps
-only candidates passing a surrogate descent test.
+only candidates passing a surrogate descent test. The drivers run the loop
+of aaprox.solvers with the kernel's geometry and the model-bound guard.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
 from .anderson import AAConfig, AndersonEngine
 from .problems import DomainError, NonsmoothTerm
-from .solvers import IterationTrace, SolveReport
+from .solvers import SolveReport, _proximal_gradient
 
 __all__ = [
     "BregmanProblem",
@@ -307,36 +308,20 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
     return f_test <= bound
 
 
+def _geometry(problem: BregmanProblem):
+    """The kernel's mirror map and the Bregman proximal map back to x."""
+    kern, h = problem.kernel, problem.h
+    return kern.grad, lambda y, gamma: bregman_prox(h, kern, gamma,
+                                                    kern.conj_grad(y))
+
+
 def run_bpg(problem: BregmanProblem, x0, tol: float = 0.0,
             max_iters: int = 1000, keep_iterates: bool = False) -> SolveReport:
     """Plain Bregman proximal gradient from a primal point x0 in int dom phi."""
-    start = time.perf_counter()
     x = np.asarray(x0, dtype=float)
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    y, x = bpg_step(problem, x)
-    rn = float(np.linalg.norm(y - problem.kernel.grad(np.asarray(x0, dtype=float))))
-    trace.record(problem.objective(x), rn, "plain",
-                 time.perf_counter() - start, x=x)
-
-    while len(trace) < max_iters:
-        g = problem.kernel.grad(x) - problem.gamma * problem.f.grad(x)
-        rn = float(np.linalg.norm(g - y))
-        if rn <= tol * max(1.0, float(np.linalg.norm(g))):
-            termination = "tol"
-            break
-        y = g
-        x = bregman_prox(problem.h, problem.kernel, problem.gamma,
-                         problem.kernel.conj_grad(y))
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, "plain", time.perf_counter() - start, x=x)
-            break
-        trace.record(problem.objective(x), rn, "plain",
-                     time.perf_counter() - start, x=x)
-
-    return SolveReport(x, trace, termination, problem.gamma)
+    return _proximal_gradient(problem, x, problem.kernel.grad(x),
+                              problem.gamma, *_geometry(problem), tol=tol,
+                              max_iters=max_iters, keep_iterates=keep_iterates)
 
 
 def run_guarded_aa_bpg(problem: BregmanProblem, y0,
@@ -360,63 +345,10 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
             "kernel %r does not cover the whole mirror space; "
             "extrapolated mirror points would leave its conjugate domain"
             % kern.name)
-    start = time.perf_counter()
-    gamma = problem.gamma
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    y_prev = np.asarray(y0, dtype=float)
-    x = bregman_prox(problem.h, kern, gamma, kern.conj_grad(y_prev))
-
-    g = kern.grad(x) - gamma * problem.f.grad(x)
-    engine = AndersonEngine(y_prev.size, aa_config)
-    rn = float(np.linalg.norm(engine.push(g, y_prev)))
-    y = g
-    x = bregman_prox(problem.h, kern, gamma, kern.conj_grad(y))
-    f_curr = problem.f.value(x)
-    if keep_iterates:
-        trace.record(f_curr + problem.h.value(x), rn, "plain",
-                     time.perf_counter() - start, x=x, x_plain=None)
-    else:
-        trace.record(f_curr + problem.h.value(x), rn, "plain",
-                     time.perf_counter() - start)
-
-    while len(trace) < max_iters:
-        grad = problem.f.grad(x)
-        g = kern.grad(x) - gamma * grad
-        rn = float(np.linalg.norm(engine.push(g, y)))
-        if rn <= tol * max(1.0, float(np.linalg.norm(g))):
-            termination = "tol"
-            break
-        y_ext, coeffs = engine.extrapolate()
-        x_plain = bregman_prox(problem.h, kern, gamma, kern.conj_grad(g))
-        x_test = bregman_prox(problem.h, kern, gamma, kern.conj_grad(y_ext))
-        if np.all(np.isfinite(x_test)):
-            try:
-                f_test = problem.f.value(x_test)
-            except DomainError:
-                f_test = np.inf
-        else:
-            f_test = np.inf
-        if bregman_descent_check(f_test, f_curr, grad, x_plain, x,
-                                 gamma, kern):
-            x, y, f_curr, kind = x_test, y_ext, f_test, "AA"
-        else:
-            y = g
-            x = x_plain
-            f_curr = problem.f.value(x)
-            kind = "fallback"
-            if aa_config.flush_on_fallback:
-                engine.reset()
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, kind, time.perf_counter() - start, x=x)
-            break
-        if keep_iterates:
-            trace.record(f_curr + problem.h.value(x), rn, kind,
-                         time.perf_counter() - start, x=x, x_plain=x_plain)
-        else:
-            trace.record(f_curr + problem.h.value(x), rn, kind,
-                         time.perf_counter() - start)
-
-    return SolveReport(x, trace, termination, gamma)
+    mirror, to_primal = _geometry(problem)
+    y = np.asarray(y0, dtype=float)
+    return _proximal_gradient(problem, to_primal(y, problem.gamma), y,
+                              problem.gamma, mirror, to_primal,
+                              partial(bregman_descent_check, kernel=kern),
+                              AndersonEngine(y.size, aa_config), tol=tol,
+                              max_iters=max_iters, keep_iterates=keep_iterates)

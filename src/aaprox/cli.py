@@ -178,14 +178,10 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
 def _run_method(method: str, setup: ProblemSetup, config: ExperimentConfig):
     aa = AAConfig(m=config.m)
     kwargs = dict(tol=config.tol, max_iters=config.max_iters)
-    if setup.kind == "bregman":
-        problem = setup.problem
-    else:
-        problem = setup.problem
-        if method in BREGMAN_METHODS:
-            problem = BregmanProblem(energy_kernel(), setup.problem.f,
-                                     setup.problem.h, setup.gamma,
-                                     setup.problem.n)
+    problem = setup.problem
+    if setup.kind == "euclidean" and method in BREGMAN_METHODS:
+        problem = BregmanProblem(energy_kernel(), problem.f, problem.h,
+                                 setup.gamma, problem.n)
     if method == "pga":
         return run_pga(setup.problem, setup.x0, setup.gamma, **kwargs)
     if method == "aa_pga":

@@ -20,12 +20,6 @@ class DomainError(ValueError):
     """Evaluation outside the domain of a loss or kernel."""
 
 
-def _as_2d_op(A):
-    """Shape and transpose access that works for dense and sparse A."""
-    M, n = A.shape
-    return M, n
-
-
 class _MatvecCache:
     """Remembers the last (x, A @ x) pair by object identity."""
 

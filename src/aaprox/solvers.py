@@ -1,5 +1,8 @@
 """Proximal gradient drivers: plain, extrapolated, guarded, and momentum.
 
+The plain, extrapolated and guarded drivers, here and in aaprox.bregman, are
+one loop, _proximal_gradient, parameterised by geometry (a mirror map and the
+map back to the primal point) and guard; the momentum driver has its own.
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
 fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
 row per iterate produced, and report how they stopped.
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anderson import AAConfig, AndersonEngine
-from .problems import CompositeProblem
+from .problems import CompositeProblem, DomainError
 
 __all__ = [
     "IterationTrace",
@@ -93,39 +96,96 @@ def _stop(residual_norm: float, g_norm: float, tol: float) -> bool:
     return residual_norm <= tol * max(1.0, g_norm)
 
 
+def _decrease_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
+    return descent_check(f_test, f_curr, float(np.dot(grad, grad)), gamma)
+
+
+def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
+                       guard=None, engine: AndersonEngine | None = None,
+                       tol: float = 0.0, max_iters: int = 1000,
+                       keep_iterates: bool = False) -> SolveReport:
+    """The proximal gradient loop behind the pga and bpg drivers.
+
+    Iterates y <- mirror(x) - gamma grad f(x), x = to_primal(y, gamma) from
+    the start pair (x, y); the geometry (mirror, to_primal) is the identity
+    and h.prox, or a kernel's gradient and its Bregman proximal map. With an
+    engine, every step after the first moves to the extrapolated y instead.
+    With a guard as well, the extrapolated candidate is kept only when
+    guard(f_test, f_curr, grad, x_plain, x, gamma) holds; otherwise the plain
+    step x_plain = to_primal(mirror(x) - gamma grad f(x), gamma) is taken.
+    A candidate that is not finite, or whose f raises DomainError, has
+    f_test = inf. Guarded runs with kept iterates record x_plain on every
+    trace row (None on the first, which is always a plain step).
+    """
+    start = time.perf_counter()
+    f, h = problem.f, problem.h
+    trace = IterationTrace(keep_iterates)
+    termination = "max_iters"
+    keep_plain = keep_iterates and guard is not None
+
+    for k in range(max(max_iters, 1)):  # the first step is always taken
+        grad = f.grad(x)
+        g = mirror(x) - gamma * grad
+        rn = float(np.linalg.norm(g - y if engine is None
+                                  else engine.push(g, y)))
+        if k and _stop(rn, float(np.linalg.norm(g)), tol):
+            termination = "tol"
+            break
+        x_plain, f_next, kind = None, None, "plain"
+        if engine is None or not k:
+            y, x = g, to_primal(g, gamma)
+        elif guard is None:
+            y, coeffs = engine.extrapolate()
+            x = to_primal(y, gamma)
+            kind = "AA" if len(coeffs.alpha) > 1 else "plain"
+        else:
+            y_ext, _ = engine.extrapolate()
+            x_plain = to_primal(g, gamma)
+            x_test = to_primal(y_ext, gamma)
+            f_test = np.inf
+            if np.isfinite(x_test).all():
+                try:
+                    f_test = f.value(x_test)
+                except DomainError:
+                    pass
+            if guard(f_test, f_curr, grad, x_plain, x, gamma):
+                x, y, f_next, kind = x_test, y_ext, f_test, "AA"
+            else:
+                x, y, kind = x_plain, g, "fallback"
+                if engine.config.flush_on_fallback:
+                    engine.reset()
+        if np.isfinite(x).all():
+            f_curr = f.value(x) if f_next is None else f_next
+            objective = f_curr + h.value(x)
+        else:
+            termination, objective = "degenerate", np.inf
+        elapsed = time.perf_counter() - start
+        if keep_plain:
+            trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
+        else:
+            trace.record(objective, rn, kind, elapsed, x=x)
+        if termination == "degenerate":
+            break
+
+    return SolveReport(x, trace, termination, gamma)
+
+
+def _run_euclidean(problem: CompositeProblem, x0, gamma: float | None,
+                   aa_config: AAConfig | None, guard, **options) -> SolveReport:
+    if gamma is None:
+        gamma = 1.0 / problem.f.smoothness
+    x = np.asarray(x0, dtype=float)
+    engine = None if aa_config is None else AndersonEngine(x.size, aa_config)
+    return _proximal_gradient(problem, x, x, gamma, lambda v: v,
+                              problem.h.prox, guard, engine, **options)
+
+
 def run_pga(problem: CompositeProblem, x0, gamma: float | None = None,
             tol: float = 0.0, max_iters: int = 1000,
             keep_iterates: bool = False) -> SolveReport:
     """Plain proximal gradient descent."""
-    if gamma is None:
-        gamma = 1.0 / problem.f.smoothness
-    start = time.perf_counter()
-    x = np.asarray(x0, dtype=float)
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    y = x - gamma * problem.f.grad(x)
-    x = problem.h.prox(y, gamma)
-    rn = float(np.linalg.norm(y - np.asarray(x0, dtype=float)))
-    trace.record(problem.objective(x), rn, "plain",
-                 time.perf_counter() - start, x=x)
-
-    while len(trace) < max_iters:
-        g = x - gamma * problem.f.grad(x)
-        rn = float(np.linalg.norm(g - y))
-        if _stop(rn, float(np.linalg.norm(g)), tol):
-            termination = "tol"
-            break
-        y = g
-        x = problem.h.prox(y, gamma)
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, "plain", time.perf_counter() - start, x=x)
-            break
-        trace.record(problem.objective(x), rn, "plain",
-                     time.perf_counter() - start, x=x)
-
-    return SolveReport(x, trace, termination, gamma)
+    return _run_euclidean(problem, x0, gamma, None, None, tol=tol,
+                          max_iters=max_iters, keep_iterates=keep_iterates)
 
 
 def run_aa_pga(problem: CompositeProblem, x0, gamma: float | None = None,
@@ -137,42 +197,10 @@ def run_aa_pga(problem: CompositeProblem, x0, gamma: float | None = None,
     step taken from x_k = prox(y_k); the extrapolated y feeds the next prox.
     Depth 0 reproduces run_pga exactly.
     """
-    if gamma is None:
-        gamma = 1.0 / problem.f.smoothness
-    if aa_config is None:
-        aa_config = AAConfig(m=5)
-    start = time.perf_counter()
-    x = np.asarray(x0, dtype=float)
-    n = x.size
-    engine = AndersonEngine(n, aa_config)
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    y_prev = x  # the run starts with x_0 = y_0
-    g = x - gamma * problem.f.grad(x)
-    rn = float(np.linalg.norm(engine.push(g, y_prev)))
-    y = g
-    x = problem.h.prox(y, gamma)
-    trace.record(problem.objective(x), rn, "plain",
-                 time.perf_counter() - start, x=x)
-
-    while len(trace) < max_iters:
-        g = x - gamma * problem.f.grad(x)
-        rn = float(np.linalg.norm(engine.push(g, y)))
-        if _stop(rn, float(np.linalg.norm(g)), tol):
-            termination = "tol"
-            break
-        y, coeffs = engine.extrapolate()
-        x = problem.h.prox(y, gamma)
-        kind = "AA" if len(coeffs.alpha) > 1 else "plain"
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, kind, time.perf_counter() - start, x=x)
-            break
-        trace.record(problem.objective(x), rn, kind,
-                     time.perf_counter() - start, x=x)
-
-    return SolveReport(x, trace, termination, gamma)
+    return _run_euclidean(problem, x0, gamma,
+                          AAConfig(m=5) if aa_config is None else aa_config,
+                          None, tol=tol, max_iters=max_iters,
+                          keep_iterates=keep_iterates)
 
 
 def run_guarded_aa_pga(problem: CompositeProblem, x0,
@@ -184,56 +212,14 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
 
     The extrapolated candidate is kept only when it passes descent_check
     against the current iterate; otherwise the plain proximal gradient step
-    is taken. A rejected candidate costs one extra prox and one extra f
-    evaluation. The residual window is kept across rejections unless the
-    config says to flush it.
+    is taken. Every guarded step costs one extra prox, and a rejected one
+    also an extra f evaluation. The residual window is kept across
+    rejections unless the config says to flush it.
     """
-    if gamma is None:
-        gamma = 1.0 / problem.f.smoothness
-    if aa_config is None:
-        aa_config = AAConfig(m=5)
-    start = time.perf_counter()
-    x = np.asarray(x0, dtype=float)
-    engine = AndersonEngine(x.size, aa_config)
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    y_prev = x
-    g = x - gamma * problem.f.grad(x)
-    rn = float(np.linalg.norm(engine.push(g, y_prev)))
-    y = g
-    x = problem.h.prox(y, gamma)
-    f_curr = problem.f.value(x)
-    trace.record(f_curr + problem.h.value(x), rn, "plain",
-                 time.perf_counter() - start, x=x)
-
-    while len(trace) < max_iters:
-        grad = problem.f.grad(x)
-        g = x - gamma * grad
-        rn = float(np.linalg.norm(engine.push(g, y)))
-        if _stop(rn, float(np.linalg.norm(g)), tol):
-            termination = "tol"
-            break
-        y_ext, coeffs = engine.extrapolate()
-        x_test = problem.h.prox(y_ext, gamma)
-        f_test = problem.f.value(x_test)
-        if descent_check(f_test, f_curr, float(np.dot(grad, grad)), gamma):
-            x, y, f_curr, kind = x_test, y_ext, f_test, "AA"
-        else:
-            y = g
-            x = problem.h.prox(y, gamma)
-            f_curr = problem.f.value(x)
-            kind = "fallback"
-            if aa_config.flush_on_fallback:
-                engine.reset()
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, kind, time.perf_counter() - start, x=x)
-            break
-        trace.record(f_curr + problem.h.value(x), rn, kind,
-                     time.perf_counter() - start, x=x)
-
-    return SolveReport(x, trace, termination, gamma)
+    return _run_euclidean(problem, x0, gamma,
+                          AAConfig(m=5) if aa_config is None else aa_config,
+                          _decrease_guard, tol=tol, max_iters=max_iters,
+                          keep_iterates=keep_iterates)
 
 
 def run_nesterov_pga(problem: CompositeProblem, x0,

@@ -276,6 +276,19 @@ class TestMain:
         assert "pga:" in out and "nesterov:" in out
         assert (tmp_path / "o" / "trace_nesterov.csv").exists()
 
+    def test_bpg_on_a_euclidean_problem_matches_pga(self, tmp_path, capsys):
+        # Bregman methods on nnls run under the energy kernel, whose plain
+        # iteration is the proximal gradient iteration
+        rc = main(["run", "--problem", "nnls", "--synth", "60,20",
+                   "--method", "pga,bpg", "--tol", "0", "--max-iters", "50",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "bpg:" in capsys.readouterr().out
+        _, pga = read_trace(tmp_path / "o" / "trace_pga.csv")
+        _, bpg = read_trace(tmp_path / "o" / "trace_bpg.csv")
+        assert len(pga["objective"]) == 50
+        assert pga["objective"] == bpg["objective"]
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

@@ -5,8 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from aaprox.anderson import AAConfig
+from aaprox.bregman import (
+    BregmanProblem,
+    energy_kernel,
+    run_bpg,
+    run_guarded_aa_bpg,
+)
 from aaprox.problems import (
     CompositeProblem,
+    DomainError,
+    NonsmoothTerm,
     QuadraticLoss,
     box_indicator,
     l1_term,
@@ -190,6 +198,117 @@ class TestRunGuardedAaPga:
                                  max_iters=3000)
         assert rep.termination == "tol"
         assert_allclose(pga_step(prob, rep.x, rep.gamma), rep.x, atol=1e-9)
+
+
+class ValueOnlyAt:
+    """A loss whose value raises DomainError away from the given points."""
+
+    def __init__(self, loss, points):
+        self.loss, self.points = loss, points
+        self.smoothness = loss.smoothness
+
+    def value(self, x):
+        if not any(np.array_equal(x, p) for p in self.points):
+            raise DomainError("outside the plain trajectory")
+        return self.loss.value(x)
+
+    def grad(self, x):
+        return self.loss.grad(x)
+
+
+class FiniteOnly:
+    """A loss that fails the test when its value is asked at a non-finite x."""
+
+    def __init__(self, loss):
+        self.loss = loss
+        self.smoothness = loss.smoothness
+
+    def value(self, x):
+        assert np.all(np.isfinite(x)), "f evaluated at a non-finite point"
+        return self.loss.value(x)
+
+    def grad(self, x):
+        return self.loss.grad(x)
+
+
+def guarded_and_plain(geometry, prob, x0, gamma, aa_config, **options):
+    """One guarded and one plain run, Euclidean or under the energy kernel."""
+    if geometry == "euclidean":
+        return (run_guarded_aa_pga(prob, x0, gamma, aa_config, **options),
+                run_pga(prob, x0, gamma, **options))
+    bp = BregmanProblem(energy_kernel(), prob.f, prob.h, gamma, prob.n)
+    return (run_guarded_aa_bpg(bp, x0, aa_config, **options),
+            run_bpg(bp, x0, **options))
+
+
+@pytest.mark.parametrize("geometry", ["euclidean", "energy"])
+class TestGuardCandidates:
+    """Candidate handling shared by both guards."""
+
+    def assert_follows_plain(self, guarded, plain):
+        assert guarded.trace.step_kind == (
+            ["plain"] + ["fallback"] * (len(plain.trace) - 1))
+        assert guarded.trace.objective == plain.trace.objective
+        assert guarded.trace.residual == plain.trace.residual
+        assert np.array_equal(guarded.x, plain.x)
+
+    def test_domain_error_candidates_fall_back(self, geometry):
+        base = quadratic_problem(seed=18)
+        x0 = np.full(base.n, 2.0)
+        gamma = 1.0 / base.f.smoothness
+        points = run_pga(base, x0, gamma, max_iters=30,
+                         keep_iterates=True).trace.iterates
+        prob = CompositeProblem(ValueOnlyAt(base.f, points), base.h, base.n)
+        guarded, plain = guarded_and_plain(geometry, prob, x0, gamma,
+                                           AAConfig(m=3), max_iters=30)
+        self.assert_follows_plain(guarded, plain)
+
+    def test_non_finite_candidates_fall_back_unevaluated(self, geometry):
+        base = quadratic_problem(seed=19)
+        x0 = np.full(base.n, 2.0)
+        gamma = 1.0 / base.f.smoothness
+        points = [x0] + run_pga(base, x0, gamma, max_iters=30,
+                                keep_iterates=True).trace.iterates
+
+        def prox(y, gamma):
+            if any(np.array_equal(y, p) for p in points):
+                return y
+            return np.full_like(y, np.nan)
+
+        h = NonsmoothTerm(value=lambda x: 0.0, prox=prox)
+        prob = CompositeProblem(FiniteOnly(base.f), h, base.n)
+        guarded, plain = guarded_and_plain(geometry, prob, x0, gamma,
+                                           AAConfig(m=3), max_iters=30)
+        self.assert_follows_plain(guarded, plain)
+
+    def test_kept_plain_points_cover_every_row(self, geometry):
+        prob = lasso_problem(seed=20)
+        guarded, _ = guarded_and_plain(geometry, prob, np.zeros(prob.n),
+                                       1.0 / prob.f.smoothness, AAConfig(m=4),
+                                       max_iters=80, keep_iterates=True)
+        plains = guarded.trace.aux["x_plain"]
+        assert len(plains) == len(guarded.trace) == 80
+        assert plains[0] is None
+        kinds = guarded.trace.step_kind
+        assert "AA" in kinds and "fallback" in kinds
+        for kind, x, x_plain in zip(kinds[1:], guarded.trace.iterates[1:],
+                                    plains[1:]):
+            assert x_plain is not None
+            if kind == "fallback":
+                assert np.array_equal(x, x_plain)
+
+    def test_degenerate_row_keeps_its_plain_point(self, geometry):
+        # a step ten times too long diverges until the iterate overflows
+        prob = quadratic_problem(seed=21)
+        with np.errstate(over="ignore", invalid="ignore"):
+            guarded, _ = guarded_and_plain(geometry, prob, np.ones(prob.n),
+                                           10.0 / prob.f.smoothness,
+                                           AAConfig(m=0), max_iters=5000,
+                                           keep_iterates=True)
+        assert guarded.termination == "degenerate"
+        plains = guarded.trace.aux["x_plain"]
+        assert len(plains) == len(guarded.trace) == len(guarded.trace.iterates)
+        assert not np.all(np.isfinite(plains[-1]))
 
 
 class TestRunNesterovPga:
