@@ -46,8 +46,9 @@ class AAConfig:
     m is the window depth (m = 0 disables extrapolation). reg_scale weights
     a Tikhonov term reg_scale * ||R||_F^2 * ||alpha||_2^2 added to the
     coefficient problem. m_alpha bounds ||alpha||_1; when exceeded the
-    coefficients are reset to the pure fixed-point weights. use_qr_updates
-    selects the incrementally updated QR path (None picks it for m > 3).
+    coefficients are reset to the pure fixed-point weights. The coefficients
+    solve through dense normal equations over the residual window;
+    use_qr_updates opts in to the incrementally updated QR window instead.
     flush_on_fallback clears the window whenever a guarded driver rejects
     an extrapolated point.
     """
@@ -55,7 +56,7 @@ class AAConfig:
     m: int
     reg_scale: float = 1e-10
     m_alpha: float = math.inf
-    use_qr_updates: bool | None = None
+    use_qr_updates: bool = False
     flush_on_fallback: bool = False
 
     def __post_init__(self):
@@ -65,12 +66,6 @@ class AAConfig:
             raise ValueError("reg_scale must be nonnegative")
         if math.isfinite(self.m_alpha) and self.m_alpha <= 1:
             raise ValueError("a finite m_alpha must exceed 1")
-
-    @property
-    def qr_enabled(self) -> bool:
-        if self.use_qr_updates is None:
-            return self.m > 3
-        return self.use_qr_updates
 
 
 class ResidualHistory:
@@ -291,14 +286,19 @@ class QrWindow:
 class AndersonEngine:
     """Window bookkeeping plus the coefficient solve and the mixing step.
 
-    Degenerate coefficient solves trigger one retry on a window shortened
-    by its oldest entry before settling for the pure fixed-point weights.
+    Coefficients come from solve_coefficients over the ResidualHistory;
+    with config.use_qr_updates a QrWindow also keeps the residuals and its
+    triangular factor feeds the solve, and only then does deficiency_count
+    count rank-deficient pushes. Degenerate coefficient solves trigger one
+    retry on a window shortened by its oldest entry before settling for the
+    pure fixed-point weights.
     """
 
     def __init__(self, n: int, config: AAConfig):
         self.config = config
         self.history = ResidualHistory(config.m)
-        self.window = QrWindow(n, config.m + 1) if config.qr_enabled else None
+        self.window = (QrWindow(n, config.m + 1) if config.use_qr_updates
+                       else None)
         self.degenerate_count = 0
         self.deficiency_count = 0
 
@@ -335,12 +335,6 @@ class AndersonEngine:
     def extrapolate(self) -> tuple[np.ndarray, ExtrapolationCoefficients]:
         coeffs = self.coefficients()
         return self.history.combine(coeffs.alpha), coeffs
-
-    def iterate(self, g, y: np.ndarray) -> tuple[np.ndarray, ExtrapolationCoefficients]:
-        """One extrapolation round: evaluate the map, update, mix."""
-        g_val = np.atleast_1d(np.asarray(g(y), dtype=float))
-        self.push(g_val, y)
-        return self.extrapolate()
 
     def reset(self) -> None:
         self.history.clear()

@@ -110,7 +110,7 @@ def run_counterexample(x0: float, n_cycles: int = 50) -> CycleReport:
         warnings.warn("x0 = %g is outside [%g, %g]; the four-phase cycle "
                       "is only guaranteed inside" % (x0, *BASIN))
     n_iters = 4 * n_cycles + 6
-    config = AAConfig(m=1, reg_scale=0.0, use_qr_updates=False)
+    config = AAConfig(m=1, reg_scale=0.0)
     report = run_anderson(lambda x: x - STEP * grad_f(x), [float(x0)],
                           config, tol=0.0, max_iters=n_iters)
     iterates = report.xs[:, 0]

@@ -1,9 +1,10 @@
 """Smooth losses, nonsmooth terms, and composite problem containers.
 
 Losses expose value(x), grad(x) and a smoothness constant; they cache the
-last product A @ x keyed on the argument object, so evaluating the value at
-a point and then the gradient at the same point costs one matvec. Callers
-must not mutate iterate arrays in place.
+last two products A @ x keyed on the argument object, so evaluating the
+value at a point and then the gradient at the same point costs one matvec,
+even with one other point evaluated in between. Callers must not mutate
+iterate arrays in place.
 """
 
 from __future__ import annotations
@@ -21,18 +22,19 @@ class DomainError(ValueError):
 
 
 class _MatvecCache:
-    """Remembers the last (x, A @ x) pair by object identity."""
+    """Remembers the last two (x, A @ x) pairs by object identity."""
 
     def __init__(self):
-        self._x = None
-        self._ax = None
+        self._x = self._ax = self._x_old = self._ax_old = None
 
     def get(self, A, x):
         if self._x is x:
             return self._ax
+        if self._x_old is x:
+            return self._ax_old
         ax = A @ x
-        self._x = x
-        self._ax = ax
+        self._x_old, self._ax_old = self._x, self._ax
+        self._x, self._ax = x, ax
         return ax
 
 

@@ -432,6 +432,6 @@ def test_config_validation():
         AAConfig(m=2, reg_scale=-1e-3)
     with pytest.raises(ValueError):
         AAConfig(m=2, m_alpha=1.0)
-    assert AAConfig(m=5).qr_enabled
-    assert not AAConfig(m=2).qr_enabled
-    assert AAConfig(m=2, use_qr_updates=True).qr_enabled
+    assert AAConfig(m=5).use_qr_updates is False
+    assert AndersonEngine(3, AAConfig(m=5)).window is None
+    assert AndersonEngine(3, AAConfig(m=2, use_qr_updates=True)).window

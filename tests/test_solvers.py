@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from aaprox.anderson import AAConfig
 from aaprox.counterexample import STEP, grad_f, value_f
+from aaprox.datasets import generate_logreg_instance, generate_nnls_instance
 from aaprox.bregman import (
     BregmanProblem,
     energy_kernel,
@@ -20,6 +21,7 @@ from aaprox.problems import (
     box_indicator,
     l1_term,
     least_squares_loss,
+    logistic_loss,
     nonneg_indicator,
     zero_term,
 )
@@ -200,6 +202,31 @@ class TestRunGuardedAaPga:
         assert rep.termination == "tol"
         assert_allclose(pga_step(prob, rep.x, rep.gamma), rep.x, atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["logreg", "nnls"])
+    def test_qr_window_follows_the_dense_solve(self, name):
+        # the acceptance instances of criteria 6 and 10; the two coefficient
+        # routes differ at rounding level, which takes longer than 50 steps
+        # to change a guard decision. The gap is relative to the objective
+        # at the start: the nnls objective falls toward zero, so relative to
+        # its own values a gap of 1e-15 reads 1e-11 by step 50
+        if name == "logreg":
+            data = generate_logreg_instance(200, 100, seed=0, cond=1e5)
+            prob = CompositeProblem(logistic_loss(data.A, data.b, mu=1e-5),
+                                    box_indicator(-20.0, 20.0), 100)
+        else:
+            data = generate_nnls_instance(200, 100, seed=1, cond=1e3)
+            prob = CompositeProblem(least_squares_loss(data.A, data.b),
+                                    nonneg_indicator(), 100)
+        x0 = np.zeros(100)
+        dense, qr = (run_guarded_aa_pga(prob, x0,
+                                        aa_config=AAConfig(m=5, **opt),
+                                        max_iters=50)
+                     for opt in ({}, {"use_qr_updates": True}))
+        assert dense.trace.step_kind == qr.trace.step_kind
+        assert "AA" in dense.trace.step_kind
+        assert_allclose(qr.trace.objective, dense.trace.objective, rtol=0.0,
+                        atol=1e-12 * prob.objective(x0))
+
 
 class ValueOnlyAt:
     """A loss whose value raises DomainError away from the given points."""
@@ -341,6 +368,36 @@ class CountingLoss:
         return self.loss.grad(x)
 
 
+class CountingMatrix:
+    """A dense matrix that counts its products A @ x; A.T is not counted."""
+
+    def __init__(self, A):
+        self.A, self.T, self.shape = A, A.T, A.shape
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+class GradProducts:
+    """Records the A @ x products each f.grad call of the loss makes."""
+
+    def __init__(self, loss):
+        self.loss = loss
+        self.smoothness = loss.smoothness
+        self.per_call = []
+
+    def value(self, x):
+        return self.loss.value(x)
+
+    def grad(self, x):
+        before = self.loss.A.products
+        g = self.loss.grad(x)
+        self.per_call.append(self.loss.A.products - before)
+        return g
+
+
 # (problem, x0, gamma, config) cases on which the Euclidean guard takes at
 # least one damped step
 def cycle_case():
@@ -417,6 +474,20 @@ class TestDampedRetry:
             assert cost == expected, (k, kind)
             seen.add(kind)
         assert seen == {"plain", "AA", "fallback", "tried", "damped"}
+
+    def test_gradient_after_a_failed_try_reuses_its_product(self):
+        # a failed halfway try evaluates f last at the halfway point, and
+        # the next row starts with the gradient at the plain point
+        base, x0, gamma, cfg = nonneg_lasso_case()
+        base.f.A = CountingMatrix(base.f.A)
+        counted = GradProducts(base.f)
+        prob = CompositeProblem(counted, base.h, base.n)
+        rep = run_guarded_aa_pga(prob, x0, gamma, cfg, max_iters=150,
+                                 keep_iterates=True)
+        tried = [k for k, kind in enumerate(rep.trace.step_kind)
+                 if kind == "fallback" and plain_passes(base, rep, k)]
+        assert tried and tried[0] < 149
+        assert counted.per_call == [1] + [0] * 149
 
 
 class TestRunNesterovPga:
