@@ -101,6 +101,9 @@ class ResidualHistory:
         self._g.clear()
         self._r.clear()
 
+    def newest(self) -> np.ndarray:
+        return self._g[0]
+
     def residual_matrix(self) -> np.ndarray:
         """Residuals as columns, newest first."""
         return np.column_stack(self._r)
@@ -333,8 +336,13 @@ class AndersonEngine:
         return enforce_coefficient_bound(coeffs, self.config.m_alpha)
 
     def extrapolate(self) -> tuple[np.ndarray, ExtrapolationCoefficients]:
+        """The mixed map value and its weights; plain weights (1, 0, ..., 0)
+        give the newest pushed map value itself, the same object, unmixed."""
         coeffs = self.coefficients()
-        return self.history.combine(coeffs.alpha), coeffs
+        alpha = coeffs.alpha
+        if alpha[0] == 1.0 and not alpha[1:].any():
+            return self.history.newest(), coeffs
+        return self.history.combine(alpha), coeffs
 
     def reset(self) -> None:
         self.history.clear()
@@ -356,10 +364,10 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
                  max_iters: int = 50) -> FixedPointReport:
     """Extrapolated fixed-point iteration on the map g.
 
-    The first step is always the plain step x_1 = g(x_0); extrapolation
-    starts once two residuals are available. Stops when
-    ||g(x_k) - x_k|| <= tol * max(1, ||g(x_k)||), after max_iters map
-    evaluations, or when an iterate stops being finite.
+    Each step moves to the engine's proposal, so the first is the plain step
+    x_1 = g(x_0). From the second residual on, stops when ||g(x_k) - x_k||
+    <= tol * max(1, ||g(x_k)||); also after max_iters map evaluations, or
+    as "degenerate" at a non-finite iterate, where g is not evaluated.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     engine = AndersonEngine(x.size, config)
@@ -368,30 +376,19 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
     residual_norms: list[float] = []
     termination = "max_iters"
 
-    g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
-    r = engine.push(g_val, x)
-    rn = float(np.linalg.norm(r))
-    residual_norms.append(rn)
-    alphas.append(np.ones(1))
-    xs.append(g_val)
-    if rn <= tol * max(1.0, float(np.linalg.norm(g_val))):
-        termination = "tol"
-    else:
-        for _ in range(1, max_iters):
-            x = xs[-1]
-            if not np.all(np.isfinite(x)):
-                termination = "degenerate"
-                break
-            g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
-            r = engine.push(g_val, x)
-            rn = float(np.linalg.norm(r))
-            residual_norms.append(rn)
-            if rn <= tol * max(1.0, float(np.linalg.norm(g_val))):
-                termination = "tol"
-                break
-            x_next, coeffs = engine.extrapolate()
-            alphas.append(coeffs.alpha)
-            xs.append(x_next)
+    for k in range(max(max_iters, 1)):
+        if not np.isfinite(x).all():
+            termination = "degenerate"
+            break
+        g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
+        rn = float(np.linalg.norm(engine.push(g_val, x)))
+        residual_norms.append(rn)
+        if k and rn <= tol * max(1.0, float(np.linalg.norm(g_val))):
+            termination = "tol"
+            break
+        x, coeffs = engine.extrapolate()
+        alphas.append(coeffs.alpha)
+        xs.append(x)
 
     return FixedPointReport(np.asarray(xs), np.asarray(residual_norms),
                             alphas, termination)

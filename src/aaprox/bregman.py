@@ -336,6 +336,8 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     surrogate descent test against the plain step taken from the current
     iterate; rejected rounds fall back to that plain step. Candidates whose
     objective is not finite fail the test and are rejected the same way.
+    Steps with plain mixing weights are untested "plain" steps, so depth 0
+    reproduces run_bpg.
     """
     if aa_config is None:
         aa_config = AAConfig(m=5)

@@ -9,8 +9,6 @@ column.
 
 from __future__ import annotations
 
-from . import _threads  # noqa: F401  (must run before numpy loads BLAS)
-
 import argparse
 import csv
 import json

@@ -123,19 +123,19 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     Iterates y <- mirror(x) - gamma grad f(x), x = to_primal(y, gamma) from
     the start pair (x, y); the geometry (mirror, to_primal) is the identity
     and h.prox, or a kernel's gradient and its Bregman proximal map. With an
-    engine, every step after the first moves to the extrapolated y instead.
-    With a guard as well, the extrapolated candidate is kept only when
-    guard(f_test, f_curr, grad, x_plain, x, gamma) holds; otherwise the plain
-    step x_plain = to_primal(g, gamma), with g = mirror(x) - gamma grad f(x),
-    is taken. When bracketed, a rejection first evaluates f at x_plain (the
-    value the fallback needs anyway); only if x_plain passes the same guard,
-    so that the segment from g to the extrapolated y_ext brackets the guard,
-    is the halfway point to_primal(g + (y_ext - g) / 2, gamma) tested, and
-    taken as a "damped" step when it passes. A damped step is not a fallback
-    and does not flush the window. A candidate that is not finite, or whose f
-    raises DomainError, has f_test = inf. Guarded runs with kept iterates
-    record x_plain on every trace row (None on the first, which is always a
-    plain step).
+    engine, each step pushes g = mirror(x) - gamma grad f(x) and moves to
+    the proposal y_ext instead. A proposal with plain weights (always the
+    first) is g itself: a "plain" step, unguarded. Any other step is "AA",
+    with a guard only when guard(f_test, f_curr, grad, x_plain, x, gamma)
+    holds; otherwise x_plain = to_primal(g, gamma) is the "fallback". When
+    bracketed, a rejection first evaluates f at x_plain (the value the
+    fallback needs anyway); only if x_plain passes the same guard, so that
+    the segment from g to y_ext brackets the guard, is the halfway point
+    to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
+    step when it passes. A damped step is not a fallback and does not flush
+    the window. A candidate that is not finite, or whose f raises
+    DomainError, has f_test = inf. Guarded runs with kept iterates record
+    x_plain on every row: None on the first, x on a later plain row.
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
@@ -152,14 +152,13 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             termination = "tol"
             break
         x_plain, f_next, kind = None, None, "plain"
-        if engine is None or not k:
+        y_ext = g if engine is None else engine.extrapolate()[0]
+        if y_ext is g:
             y, x = g, to_primal(g, gamma)
+            x_plain = x if k else None
         elif guard is None:
-            y, coeffs = engine.extrapolate()
-            x = to_primal(y, gamma)
-            kind = "AA" if len(coeffs.alpha) > 1 else "plain"
+            y, x, kind = y_ext, to_primal(y_ext, gamma), "AA"
         else:
-            y_ext, _ = engine.extrapolate()
             x_plain = to_primal(g, gamma)
             x_test = to_primal(y_ext, gamma)
             f_test = _value_or_inf(f, x_test)
@@ -240,7 +239,8 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     against the current iterate. When it fails but the plain proximal
     gradient step passes, the point halfway between the two in y is tried
     and, if it passes, taken as a "damped" step; otherwise the plain step is
-    taken as a "fallback". Every guarded step costs one extra prox, and a
+    taken as a "fallback". Steps with plain mixing weights are "plain"
+    steps at a run_pga step's cost; any other costs one extra prox, and a
     rejected one also an extra f evaluation; a halfway try costs one more
     prox and one more f evaluation. The residual window is kept across
     rejections unless the config says to flush it.
@@ -271,9 +271,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    k = 0
-    while len(trace) < max_iters:
-        k += 1
+    for k in range(1, max_iters + 1):
         beta = momentum(k)
         z = x + beta * (x - x_prev)
         x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)

@@ -320,6 +320,37 @@ class TestAndersonEngine:
         assert not coeffs.degenerate
         assert_allclose(coeffs.alpha, [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("config, scales, window", [
+        (AAConfig(m=0), [1.0, 1.0], 1),
+        (AAConfig(m=3), [1.0], 1),
+        # a duplicate residual: the degenerate solve retries on the newest
+        (AAConfig(m=2, reg_scale=0.0), [1.0, 1.0], 1),
+        # parallel residuals 2g and g mix as (2, -1), beyond m_alpha = 2
+        (AAConfig(m=2, m_alpha=2.0), [2.0, 1.0], 2),
+    ], ids=["m0", "one_column", "degenerate", "m_alpha_reset"])
+    def test_plain_weights_propose_the_pushed_map_value(self, config, scales,
+                                                        window):
+        eng = AndersonEngine(3, config)
+        g = np.array([1.0, 2.0, 3.0])
+        pushed = [scale * g for scale in scales]
+        for g_val in pushed:
+            eng.push(g_val, np.zeros(3))
+        x_next, coeffs = eng.extrapolate()
+        assert x_next is pushed[-1]
+        assert len(eng) == window
+        assert np.array_equal(coeffs.alpha, np.eye(window)[0])
+
+    def test_mixed_weights_propose_a_new_point(self):
+        # the same parallel pair without the bound is a true extrapolation
+        eng = AndersonEngine(3, AAConfig(m=2))
+        g = np.array([1.0, 2.0, 3.0])
+        eng.push(2 * g, np.zeros(3))
+        eng.push(g, np.zeros(3))
+        x_next, coeffs = eng.extrapolate()
+        assert_allclose(coeffs.alpha, [2.0, -1.0], atol=1e-8)
+        assert x_next is not g
+        assert_allclose(x_next, np.zeros(3), atol=1e-8)
+
     def test_deficiency_counter_with_qr_path(self):
         eng = AndersonEngine(3, AAConfig(m=4, use_qr_updates=True))
         y = np.zeros(3)
@@ -417,6 +448,24 @@ class TestRunAnderson:
         g = lambda x: np.array([np.inf])
         rep = run_anderson(g, np.array([1.0]), AAConfig(m=1), max_iters=10)
         assert rep.termination == "degenerate"
+
+    def test_non_finite_start_stops_before_the_map(self):
+        calls = []
+        g = lambda x: (calls.append(1), x)[1]
+        rep = run_anderson(g, np.array([np.nan]), AAConfig(m=2), max_iters=5)
+        assert rep.termination == "degenerate"
+        assert calls == [] and len(rep.residual_norms) == 0
+
+    def test_first_step_is_taken_even_at_a_fixed_point(self):
+        # the stopping test starts at the second residual, as in the
+        # proximal gradient drivers
+        calls = []
+        g = lambda x: (calls.append(1), 0.5 * x)[1]
+        rep = run_anderson(g, np.zeros(2), AAConfig(m=2), tol=1e-8,
+                           max_iters=5)
+        assert rep.termination == "tol"
+        assert len(calls) == len(rep.residual_norms) == 2
+        assert len(rep.xs) == 2
 
     def test_map_evaluation_budget_is_respected(self):
         calls = []

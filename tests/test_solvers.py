@@ -202,6 +202,20 @@ class TestRunGuardedAaPga:
         assert rep.termination == "tol"
         assert_allclose(pga_step(prob, rep.x, rep.gamma), rep.x, atol=1e-9)
 
+    def test_a_flushed_window_takes_the_plain_step(self):
+        # after a flush the window holds one residual, whose weight is 1
+        data = generate_nnls_instance(200, 100, seed=1, cond=1e3)
+        prob = CompositeProblem(least_squares_loss(data.A, data.b),
+                                nonneg_indicator(), 100)
+        cfg = AAConfig(m=5, flush_on_fallback=True)
+        rep = run_guarded_aa_pga(prob, np.zeros(100), aa_config=cfg,
+                                 max_iters=200)
+        kinds = rep.trace.step_kind
+        after = [kinds[k + 1] for k in range(len(kinds) - 1)
+                 if kinds[k] == "fallback"]
+        assert after and set(after) == {"plain"}
+        assert "AA" in kinds
+
     @pytest.mark.parametrize("name", ["logreg", "nnls"])
     def test_qr_window_follows_the_dense_solve(self, name):
         # the acceptance instances of criteria 6 and 10; the two coefficient
@@ -396,6 +410,61 @@ class GradProducts:
         g = self.loss.grad(x)
         self.per_call.append(self.loss.A.products - before)
         return g
+
+
+class CountingProx:
+    """A prox that records, per call, the row of a CountingLoss it falls in.
+
+    Row -1 is before the first gradient, such as a driver's start point.
+    """
+
+    def __init__(self, prox, loss):
+        self.prox, self.loss = prox, loss
+        self.rows = []
+
+    def __call__(self, y, gamma):
+        self.rows.append(len(self.loss.values_per_row) - 1)
+        return self.prox(y, gamma)
+
+    def per_row(self):
+        rows = [r for r in self.rows if r >= 0]
+        return np.bincount(rows, minlength=len(self.loss.values_per_row))
+
+
+@pytest.mark.parametrize("config", [AAConfig(m=0),
+                                    AAConfig(m=4, m_alpha=1.0 + 1e-12)],
+                         ids=["m0", "m_alpha_reset"])
+@pytest.mark.parametrize("driver", ["aa_pga", "guarded_aa_pga",
+                                    "guarded_aa_bpg"])
+def test_plain_weights_take_the_plain_step(driver, config):
+    # every step's weights are (1, 0, ..., 0): at depth 0 by construction,
+    # under m_alpha = 1 + 1e-12 because every proposal on this lasso has a
+    # negative weight. Each step is then exactly the plain one, at its cost
+    base = lasso_problem(seed=10)
+    x0 = np.zeros(base.n)
+    gamma = 1.0 / base.f.smoothness
+    loss = CountingLoss(base.f)
+    prox = CountingProx(base.h.prox, loss)
+    prob = CompositeProblem(loss, NonsmoothTerm(base.h.value, prox,
+                                                base.h.kind, base.h.params),
+                            base.n)
+    if driver == "guarded_aa_bpg":
+        rep = run_guarded_aa_bpg(
+            BregmanProblem(energy_kernel(), prob.f, prob.h, gamma, prob.n),
+            x0, config, max_iters=100)
+        ref = run_bpg(
+            BregmanProblem(energy_kernel(), base.f, base.h, gamma, base.n),
+            x0, max_iters=100)
+    else:
+        run = run_aa_pga if driver == "aa_pga" else run_guarded_aa_pga
+        rep = run(prob, x0, gamma, config, max_iters=100)
+        ref = run_pga(base, x0, gamma, max_iters=100)
+    assert rep.trace.step_kind == ["plain"] * 100
+    assert np.array_equal(rep.trace.objective, ref.trace.objective)
+    assert np.array_equal(rep.trace.residual, ref.trace.residual)
+    assert np.array_equal(rep.x, ref.x)
+    assert loss.values_per_row == [1] * 100
+    assert prox.per_row().tolist() == [1] * 100
 
 
 # (problem, x0, gamma, config) cases on which the Euclidean guard takes at
