@@ -294,7 +294,9 @@ class AndersonEngine:
     triangular factor feeds the solve, and only then does deficiency_count
     count rank-deficient pushes. Degenerate coefficient solves trigger one
     retry on a window shortened by its oldest entry before settling for the
-    pure fixed-point weights.
+    pure fixed-point weights. degenerate_count counts every degenerate
+    solve, the retry's included, so a rescued solve counts once and an
+    unrescued one twice.
     """
 
     def __init__(self, n: int, config: AAConfig):
@@ -326,13 +328,13 @@ class AndersonEngine:
 
     def coefficients(self) -> ExtrapolationCoefficients:
         coeffs = self._solve()
+        self.degenerate_count += coeffs.degenerate
         if coeffs.degenerate and len(self.history) > 1:
             self.history.drop_oldest()
             if self.window is not None:
                 self.window.drop_oldest()
             coeffs = self._solve()
-        if coeffs.degenerate:
-            self.degenerate_count += 1
+            self.degenerate_count += coeffs.degenerate
         return enforce_coefficient_bound(coeffs, self.config.m_alpha)
 
     def extrapolate(self) -> tuple[np.ndarray, ExtrapolationCoefficients]:

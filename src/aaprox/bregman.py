@@ -11,14 +11,14 @@ of aaprox.solvers with the kernel's geometry and the model-bound guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
 from .anderson import AAConfig, AndersonEngine
-from .problems import DomainError, NonsmoothTerm
+from .problems import DomainError, NonsmoothTerm, _IdentityMemo
 from .solvers import SolveReport, _proximal_gradient
 
 __all__ = [
@@ -93,13 +93,14 @@ def shannon_kernel() -> Kernel:
             raise DomainError("shannon gradient needs x > 0")
         return 1.0 + np.log(x)
 
+    # exp underflows to 0 near y = -745; keep the image of conj_grad inside
+    # the open domain so grad(conj_grad(y)) stays evaluable. Overflow to inf
+    # is left alone for callers to detect.
+    tiny = np.finfo(float).tiny
+
     def conj_grad(y):
-        # exp underflows to 0 near y = -745; keep the image inside the open
-        # domain so grad(conj_grad(y)) stays evaluable. Overflow to inf is
-        # left alone for callers to detect.
         with np.errstate(over="ignore", under="ignore"):
-            return np.maximum(np.exp(np.asarray(y, dtype=float) - 1.0),
-                              np.finfo(float).tiny)
+            return np.maximum(np.exp(np.asarray(y, dtype=float) - 1.0), tiny)
 
     return Kernel("shannon", value, grad, conj_grad, full_dual_domain=True)
 
@@ -147,11 +148,12 @@ def fermi_dirac_kernel() -> Kernel:
             raise DomainError("fermi-dirac gradient needs 0 < x < 1")
         return np.log(x / (1.0 - x))
 
+    # expit rounds to exactly 0 or 1 for |y| beyond ~745 / ~37; pin the
+    # image of conj_grad to the open interval.
+    lo, hi = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
+
     def conj_grad(y):
-        # expit rounds to exactly 0 or 1 for |y| beyond ~745 / ~37; pin the
-        # image to the open interval.
-        return np.clip(expit(np.asarray(y, dtype=float)),
-                       np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        return np.clip(expit(np.asarray(y, dtype=float)), lo, hi)
 
     return Kernel("fermi_dirac", value, grad, conj_grad, full_dual_domain=True)
 
@@ -171,11 +173,12 @@ def hellinger_kernel() -> Kernel:
             raise DomainError("hellinger gradient needs |x| < 1")
         return x / np.sqrt(1.0 - x * x)
 
+    # hypot avoids overflow in y^2; |y| above ~2^26 still rounds the ratio
+    # to +-1, so pin the image of conj_grad to the open interval.
+    lim = np.nextafter(1.0, 0.0)
+
     def conj_grad(y):
-        # hypot avoids overflow in y^2; |y| above ~2^26 still rounds the
-        # ratio to +-1, so pin the image to the open interval.
         y = np.asarray(y, dtype=float)
-        lim = np.nextafter(1.0, 0.0)
         return np.clip(y / np.hypot(1.0, y), -lim, lim)
 
     return Kernel("hellinger", value, grad, conj_grad, full_dual_domain=True)
@@ -301,16 +304,19 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
 
     Accepts when f(candidate) does not exceed the upper model value
     f(x) + <grad f(x), x_plain - x> + D_phi(x_plain, x) / gamma that the
-    plain step is guaranteed to satisfy. Ties are accepted.
+    plain step is guaranteed to satisfy (the descent lemma of Bauschke,
+    Bolte & Teboulle 2017). Ties are accepted. D_phi costs phi(x_plain),
+    phi(x) and grad phi(x) from the kernel passed in; run_guarded_aa_bpg
+    passes one that remembers them, so grad phi(x) is the step's mirror(x)
+    and phi(x) the previous row's phi(x_plain) after a fallback.
     """
     bound = (f_curr + float(np.dot(grad_curr, x_plain - x_curr))
              + bregman_distance(kernel, x_plain, x_curr) / gamma)
     return f_test <= bound
 
 
-def _geometry(problem: BregmanProblem):
+def _geometry(kern: Kernel, h: NonsmoothTerm):
     """The kernel's mirror map and the Bregman proximal map back to x."""
-    kern, h = problem.kernel, problem.h
     return kern.grad, lambda y, gamma: bregman_prox(h, kern, gamma,
                                                     kern.conj_grad(y))
 
@@ -320,7 +326,8 @@ def run_bpg(problem: BregmanProblem, x0, tol: float = 0.0,
     """Plain Bregman proximal gradient from a primal point x0 in int dom phi."""
     x = np.asarray(x0, dtype=float)
     return _proximal_gradient(problem, x, problem.kernel.grad(x),
-                              problem.gamma, *_geometry(problem), tol=tol,
+                              problem.gamma, *_geometry(problem.kernel,
+                                                        problem.h), tol=tol,
                               max_iters=max_iters, keep_iterates=keep_iterates)
 
 
@@ -337,7 +344,10 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     iterate; rejected rounds fall back to that plain step. Candidates whose
     objective is not finite fail the test and are rejected the same way.
     Steps with plain mixing weights are untested "plain" steps, so depth 0
-    reproduces run_bpg.
+    reproduces run_bpg. The guard reuses the step's kernel work: grad phi(x)
+    is the mirror(x) of the step, and after a fallback phi(x) is the
+    phi(x_plain) the previous row's guard computed, remembered by object
+    identity.
     """
     if aa_config is None:
         aa_config = AAConfig(m=5)
@@ -347,7 +357,11 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
             "kernel %r does not cover the whole mirror space; "
             "extrapolated mirror points would leave its conjugate domain"
             % kern.name)
-    mirror, to_primal = _geometry(problem)
+    # a guard row asks phi at x_plain and then at x, so x_plain of the
+    # previous row must outlive this row's x_plain and x: three slots
+    kern = replace(kern, value=_IdentityMemo(kern.value, 3),
+                   grad=_IdentityMemo(kern.grad))
+    mirror, to_primal = _geometry(kern, problem.h)
     y = np.asarray(y0, dtype=float)
     return _proximal_gradient(problem, to_primal(y, problem.gamma), y,
                               problem.gamma, mirror, to_primal,

@@ -4,16 +4,20 @@ Losses expose value(x), grad(x) and a smoothness constant; they cache the
 last two products A @ x keyed on the argument object, so evaluating the
 value at a point and then the gradient at the same point costs one matvec,
 even with one other point evaluated in between. Callers must not mutate
-iterate arrays in place.
+iterate arrays in place. What does not depend on the point is worked out at
+construction: the KL loss finds its live rows (those not identically zero)
+once, so value, gradient and domain check run on the live rows alone.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 
@@ -21,21 +25,33 @@ class DomainError(ValueError):
     """Evaluation outside the domain of a loss or kernel."""
 
 
-class _MatvecCache:
-    """Remembers the last two (x, A @ x) pairs by object identity."""
+class _IdentityMemo:
+    """fn(x, *args) with its values at the last `size` arguments x remembered
+    by object identity. args are not part of the key, and an x must not be
+    mutated in place once passed."""
 
-    def __init__(self):
-        self._x = self._ax = self._x_old = self._ax_old = None
+    def __init__(self, fn, size: int = 2):
+        self._fn = fn
+        self._memo = deque(maxlen=size)
 
-    def get(self, A, x):
-        if self._x is x:
-            return self._ax
-        if self._x_old is x:
-            return self._ax_old
-        ax = A @ x
-        self._x_old, self._ax_old = self._x, self._ax
-        self._x, self._ax = x, ax
-        return ax
+    def __call__(self, x, *args):
+        for key, val in self._memo:
+            if key is x:
+                return val
+        val = self._fn(x, *args)
+        self._memo.appendleft((x, val))
+        return val
+
+
+def _product(x, A):
+    return np.asarray(A @ x).ravel()
+
+
+def _positive_product(x, A):
+    u = np.asarray(A @ x).ravel()
+    if np.any(u <= 0.0):
+        raise DomainError("A x must be positive on every nonzero row")
+    return u
 
 
 class LogisticLoss:
@@ -58,10 +74,10 @@ class LogisticLoss:
         if smoothness is None:
             smoothness = operator_norm_sq(A) / (4.0 * self.M)
         self.smoothness = float(smoothness)
-        self._cache = _MatvecCache()
+        self._product = _IdentityMemo(_product)
 
     def _margins(self, x):
-        return -self.y * np.asarray(self._cache.get(self.A, x)).ravel()
+        return -self.y * self._product(x, self.A)
 
     def value(self, x) -> float:
         t = self._margins(x)
@@ -85,10 +101,10 @@ class LeastSquaresLoss:
         if smoothness is None:
             smoothness = operator_norm_sq(A) / self.M
         self.smoothness = float(smoothness)
-        self._cache = _MatvecCache()
+        self._product = _IdentityMemo(_product)
 
     def _resid(self, x):
-        return np.asarray(self._cache.get(self.A, x)).ravel() - self.b
+        return self._product(x, self.A) - self.b
 
     def value(self, x) -> float:
         r = self._resid(x)
@@ -108,6 +124,10 @@ class KlLoss:
     identically zero sits on the boundary where the gradient blows up and
     raises DomainError. Requires A >= 0 elementwise and b > 0. The relative
     smoothness constant is the largest column 1-norm of A.
+
+    The live rows, those not identically zero, are found at construction;
+    each zero row contributes the constant b_i, summed once into a target
+    mass. When every row is live, A and b are used as given.
     """
 
     def __init__(self, A, b):
@@ -121,31 +141,23 @@ class KlLoss:
         self.M, self.n = A.shape
         col_sums = np.asarray(A.sum(axis=0)).ravel()
         self.smoothness = float(col_sums.max())
-        row_sums = np.asarray(A.sum(axis=1)).ravel()
-        self._zero_rows = row_sums == 0.0
-        self._cache = _MatvecCache()
-
-    def _products(self, x):
-        u = np.asarray(self._cache.get(self.A, x)).ravel()
-        if np.any((u <= 0.0) & ~self._zero_rows):
-            raise DomainError("A x must be positive on every nonzero row")
-        return u
+        live = np.asarray(A.sum(axis=1)).ravel() != 0.0
+        self._zero_row_mass = np.sum(b[~live])
+        if not live.all():
+            # not every sparse format can select rows; CSR can
+            A = (A.tocsr()[live].asformat(A.format) if sparse.issparse(A)
+                 else A[live])
+            b = b[live]
+        self._live_A, self._live_b = A, b
+        self._product = _IdentityMemo(_positive_product)
 
     def value(self, x) -> float:
-        u = self._products(x)
-        live = ~self._zero_rows
-        ul, bl = u[live], self.b[live]
-        val = np.sum(ul * np.log(ul / bl) - ul + bl) + np.sum(self.b[~live])
-        return float(val)
+        u, b = self._product(x, self._live_A), self._live_b
+        return float(np.sum(u * np.log(u / b) - u + b) + self._zero_row_mass)
 
     def grad(self, x) -> np.ndarray:
-        u = self._products(x)
-        ratio = np.ones_like(u)
-        live = ~self._zero_rows
-        ratio[live] = np.log(u[live] / self.b[live])
-        ratio[~live] = 0.0
-        g = self.A.T @ ratio
-        return np.asarray(g).ravel()
+        ratio = np.log(self._product(x, self._live_A) / self._live_b)
+        return np.asarray(self._live_A.T @ ratio).ravel()
 
 
 class QuadraticLoss:
@@ -192,9 +204,10 @@ def operator_norm_sq(A, rel_tol: float = 1e-6, max_iters: int = 500,
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     est = 0.0
+    At = A.T  # a new object per access on sparse A
     for _ in range(max_iters):
         w = np.asarray(A @ v).ravel()
-        v_new = np.asarray(A.T @ w).ravel()
+        v_new = np.asarray(At @ w).ravel()
         new_est = float(np.dot(w, w))
         nv = np.linalg.norm(v_new)
         if nv == 0.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anderson import AAConfig, AndersonEngine
-from .problems import CompositeProblem, DomainError
+from .problems import CompositeProblem, DomainError, _IdentityMemo
 
 __all__ = [
     "IterationTrace",
@@ -95,12 +95,23 @@ def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
     return f_test <= f_curr - 0.5 * gamma * grad_norm_sq
 
 
-def _stop(residual_norm: float, g_norm: float, tol: float) -> bool:
-    return residual_norm <= tol * max(1.0, g_norm)
+def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
+    """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
+    residual_norm > tol > 0, the one case where the answer depends on it."""
+    if residual_norm <= tol:
+        return True
+    return tol > 0.0 and residual_norm <= tol * float(np.linalg.norm(g))
 
 
-def _decrease_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
-    return descent_check(f_test, f_curr, float(np.dot(grad, grad)), gamma)
+def _decrease_guard():
+    """descent_check as a loop guard, for one run: ||grad f(x)||^2 is worked
+    out once per gradient, not once per guard call."""
+    grad_norm_sq = _IdentityMemo(lambda grad: float(np.dot(grad, grad)), 1)
+
+    def guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
+        return descent_check(f_test, f_curr, grad_norm_sq(grad), gamma)
+
+    return guard
 
 
 def _value_or_inf(f, x) -> float:
@@ -148,7 +159,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
         g = mirror(x) - gamma * grad
         rn = float(np.linalg.norm(g - y if engine is None
                                   else engine.push(g, y)))
-        if k and _stop(rn, float(np.linalg.norm(g)), tol):
+        if k and _stop(rn, g, tol):
             termination = "tol"
             break
         x_plain, f_next, kind = None, None, "plain"
@@ -247,7 +258,7 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     """
     return _run_euclidean(problem, x0, gamma,
                           AAConfig(m=5) if aa_config is None else aa_config,
-                          _decrease_guard, tol=tol, max_iters=max_iters,
+                          _decrease_guard(), tol=tol, max_iters=max_iters,
                           keep_iterates=keep_iterates)
 
 
@@ -283,7 +294,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
             break
         trace.record(problem.objective(x), rn, "plain",
                      time.perf_counter() - start, x=x)
-        if _stop(rn, float(np.linalg.norm(x)), tol):
+        if _stop(rn, x, tol):
             termination = "tol"
             break
 

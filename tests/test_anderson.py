@@ -296,6 +296,18 @@ class TestAndersonEngine:
             assert_allclose(coeffs.alpha, [1.0])
             assert_allclose(x_next, g)
 
+    def test_a_rescued_degenerate_solve_is_counted(self):
+        # two equal residuals make the unregularized bordered system
+        # singular; the retry on the one-entry window succeeds
+        eng = AndersonEngine(3, AAConfig(m=2, reg_scale=0.0))
+        g, y = np.array([1.0, 2.0, 0.5]), np.array([0.5, 1.0, 1.0])
+        eng.push(g, y)
+        eng.push(g, y)
+        coeffs = eng.coefficients()
+        assert not coeffs.degenerate
+        assert len(eng) == 1
+        assert eng.degenerate_count == 1
+
     def test_degenerate_solve_retries_on_shorter_window(self):
         eng = AndersonEngine(3, AAConfig(m=2, reg_scale=0.0,
                                          use_qr_updates=False))

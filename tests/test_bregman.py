@@ -456,6 +456,51 @@ class TestRunGuardedAaBpg:
         assert_allclose(rb.trace.objective, re_.trace.objective, rtol=1e-12)
         assert_allclose(rb.trace.residual, re_.trace.residual, rtol=1e-12)
 
+    def test_guard_reuses_the_steps_kernel_maps(self):
+        # per row: grad phi once (the mirror map; the guard reuses it), and
+        # phi(x) is skipped after a fallback, where x is the x_plain whose
+        # phi the previous row's guard already worked out
+        base = kl_problem(seed=16, M=60, n=10)
+        shannon = shannon_kernel()
+        rows = []
+
+        def counted(key, fn):
+            def call(x):
+                rows[-1][key] += 1
+                return fn(x)
+            return call
+
+        class RowLoss:
+            smoothness = base.f.smoothness
+
+            def value(self, x):
+                return base.f.value(x)
+
+            def grad(self, x):  # called once, first, on every row
+                rows.append({"value": 0, "grad": 0})
+                return base.f.grad(x)
+
+        kernel = Kernel("shannon", counted("value", shannon.value),
+                        counted("grad", shannon.grad), shannon.conj_grad,
+                        full_dual_domain=True)
+        prob = BregmanProblem(kernel, RowLoss(), base.h, base.gamma, base.n)
+        x0 = np.ones(prob.n)
+        y0 = shannon.grad(x0) - prob.gamma * base.f.grad(x0)
+        kinds = run_guarded_aa_bpg(prob, y0, AAConfig(m=4),
+                                   max_iters=150).trace.step_kind
+        assert len(rows) == len(kinds) == 150
+        assert all(row["grad"] == 1 for row in rows)
+        pairs = set()
+        for k, kind in enumerate(kinds):
+            if kind == "plain":
+                expected = 0
+            else:  # guarded: phi(x_plain), then phi(x) unless remembered
+                expected = 1 if kinds[k - 1] == "fallback" else 2
+                pairs.add((kinds[k - 1], kind))
+            assert rows[k]["value"] == expected, (k, kind)
+        assert {("fallback", "fallback"), ("AA", "fallback"),
+                ("fallback", "AA")} <= pairs
+
     def test_simplex_constrained_run_stays_feasible(self):
         rng = np.random.default_rng(19)
         A = rng.random((25, 6))

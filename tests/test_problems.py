@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from aaprox.problems import (
     CompositeProblem,
@@ -150,6 +151,36 @@ class TestKlLoss:
         # first row: 2 log 1 - 2 + 2 = 0; zero row contributes b = 3
         assert_allclose(f.value(x), 3.0)
         assert_allclose(f.grad(x), [0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr", "csc", "coo"])
+    def test_zero_row_among_live_rows_matches_the_masked_formula(self, fmt):
+        rng = np.random.default_rng(12)
+        A = rng.random((7, 3))
+        A[2] = 0.0
+        b = rng.random(7) + 0.5
+        mat = A if fmt == "dense" else sparse.coo_matrix(A).asformat(fmt)
+        f = kl_loss(mat, b)
+        x = rng.random(3) + 0.5
+        live = np.arange(7) != 2
+        u = A @ x
+        ratio = np.zeros(7)
+        ratio[live] = np.log(u[live] / b[live])
+        value = np.sum(u[live] * ratio[live] - u[live] + b[live]) + b[2]
+        assert_allclose(f.value(x), value, rtol=1e-15)
+        assert_allclose(f.grad(x), A.T @ ratio, rtol=1e-15, atol=1e-15)
+
+    def test_domain_check_skips_only_the_zero_rows(self):
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                      [0.3, 0.7, 0.2], [0.0, 0.5, 1.0]])
+        f = kl_loss(A, np.ones(4))
+        x = np.array([1.0, 1.0, 1.0])  # (A x)_1 = 0 on the zero row only
+        assert np.isfinite(f.value(x))
+        assert np.all(np.isfinite(f.grad(x)))
+        on_boundary = np.array([0.0, 1.0, 1.0])  # (A x)_0 = 0 on a live row
+        with pytest.raises(DomainError):
+            f.value(on_boundary)
+        with pytest.raises(DomainError):
+            f.grad(on_boundary)
 
     def test_boundary_point_raises(self):
         f = kl_loss(np.array([[1.0]]), np.array([1.0]))
