@@ -223,8 +223,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for method in config.methods:
         reports[method] = _run_method(method, setup, config)
 
-    finite_objs = [min(o for o in rep.trace.objective if np.isfinite(o))
-                   for rep in reports.values() if len(rep.trace)]
+    finite_objs = [o for rep in reports.values() for o in rep.trace.objective
+                   if np.isfinite(o)]
     best = min(finite_objs) if finite_objs else 0.0
 
     single = len(config.methods) == 1

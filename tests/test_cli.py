@@ -289,6 +289,22 @@ class TestMain:
         assert len(pga["objective"]) == 50
         assert pga["objective"] == bpg["objective"]
 
+    def test_run_with_no_finite_objective_exits_cleanly(self, tmp_path,
+                                                         capsys):
+        # a step of 1e308 overflows the first iterate, so pga records one
+        # non-finite objective and stops as degenerate
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["run", "--problem", "quadratic", "--gamma", "1e308",
+                       "--method", "pga", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "degenerate" in capsys.readouterr().out
+        rows, cols = read_trace(tmp_path / "o" / "trace.csv")
+        assert len(rows) == 1
+        assert not math.isfinite(float(cols["objective"][0]))
+        with open(tmp_path / "o" / "summary.json") as fh:
+            result = json.load(fh)["results"]["pga"]
+        assert result["termination"] == "degenerate"
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

@@ -1,5 +1,7 @@
 """Loss functions, proximal maps, and the composite container."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -104,9 +106,11 @@ class TestLogisticLoss:
     def test_default_smoothness_uses_design_norm(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((20, 6))
-        f = logistic_loss(A, np.ones(20))
         top = np.linalg.svd(A, compute_uv=False)[0] ** 2
-        assert_allclose(f.smoothness, top / (4 * 20), rtol=1e-4)
+        for mu in (0.0, 0.3):
+            f = logistic_loss(A, np.ones(20), mu=mu)
+            assert_allclose(f.smoothness, top / (4 * 20) + 2 * mu,
+                            rtol=1e-12)
 
 
 class TestLeastSquaresLoss:
@@ -128,11 +132,13 @@ class TestLeastSquaresLoss:
         assert_allclose(f.grad(x), central_difference(f.value, x), atol=1e-7)
 
     def test_default_smoothness(self):
+        # the largest Hessian eigenvalue, ridge term included
         rng = np.random.default_rng(4)
         A = rng.standard_normal((9, 3))
-        f = least_squares_loss(A, np.zeros(9))
-        top = np.linalg.svd(A, compute_uv=False)[0] ** 2
-        assert_allclose(f.smoothness, top / 9, rtol=1e-4)
+        for mu in (0.0, 0.25):
+            f = least_squares_loss(A, np.zeros(9), mu=mu)
+            top = np.linalg.eigvalsh(A.T @ A / 9 + 2 * mu * np.eye(3))[-1]
+            assert_allclose(f.smoothness, top, rtol=1e-12)
 
 
 class TestKlLoss:
@@ -222,25 +228,53 @@ class TestQuadraticLoss:
         assert_allclose(f.smoothness, np.linalg.eigvalsh(H)[-1])
 
 
+def top_squared_singular_value(A):
+    return np.linalg.svd(A, compute_uv=False)[0] ** 2
+
+
 def test_operator_norm_sq_matches_svd():
     rng = np.random.default_rng(7)
     for _ in range(10):
         A = rng.standard_normal((int(rng.integers(3, 20)),
                                  int(rng.integers(3, 20))))
-        top = np.linalg.svd(A, compute_uv=False)[0] ** 2
-        assert_allclose(operator_norm_sq(A), top, rtol=1e-4)
+        assert_allclose(operator_norm_sq(A), top_squared_singular_value(A),
+                        rtol=1e-12)
 
 
-def test_operator_norm_sq_warns_without_convergence():
+def test_operator_norm_sq_near_tied_top_pair():
+    # sigma_2 / sigma_1 close to 1 is where power iteration crawls
     rng = np.random.default_rng(8)
-    A = rng.standard_normal((30, 30))
-    with pytest.warns(RuntimeWarning):
-        est = operator_norm_sq(A, max_iters=1)
-    assert est > 0
+    u, _ = np.linalg.qr(rng.standard_normal((60, 30)))
+    v, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = (u * np.linspace(1.0, 0.99, 30)) @ v.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = operator_norm_sq(A)
+    assert_allclose(est, top_squared_singular_value(A), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1), (2, 7), (7, 2),
+                                   (2, 2), (80, 30), (30, 80)])
+def test_operator_norm_sq_dense_and_csr(shape):
+    # smaller sides of 1 and 2 included; the larger shapes are 90% zeros
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal(shape)
+    if min(shape) > 2:
+        A *= rng.random(shape) < 0.1
+    dense = operator_norm_sq(A)
+    assert_allclose(dense, top_squared_singular_value(A), rtol=1e-12)
+    assert_allclose(operator_norm_sq(sparse.csr_matrix(A)), dense,
+                    rtol=1e-12)
+
+
+def test_operator_norm_sq_is_repeatable():
+    A = np.random.default_rng(11).standard_normal((40, 25))
+    assert operator_norm_sq(A) == operator_norm_sq(A)
 
 
 def test_operator_norm_sq_zero_matrix():
     assert operator_norm_sq(np.zeros((4, 3))) == 0.0
+    assert operator_norm_sq(sparse.csr_matrix((4, 3))) == 0.0
 
 
 class TestProximalMaps:
