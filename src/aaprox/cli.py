@@ -62,6 +62,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError("unknown problem %r" % self.problem)
+        for name in ("mu", "lam", "gamma", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError("unknown method %r" % method)
@@ -225,7 +229,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     finite_objs = [o for rep in reports.values() for o in rep.trace.objective
                    if np.isfinite(o)]
-    best = min(finite_objs) if finite_objs else 0.0
+    # with no finite objective there is no best, and every gap is nan
+    best = min(finite_objs) if finite_objs else np.nan
 
     single = len(config.methods) == 1
     summary = {"config": _config_dict(config), "results": {}}
@@ -233,8 +238,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         name = "trace.csv" if single else "trace_%s.csv" % method
         _write_trace(os.path.join(config.out, name), report, best)
         summary["results"][method] = {
-            "final_objective": report.trace.objective[-1] if len(report.trace) else None,
-            "best_objective": best,
+            "final_objective": _finite_or_none(
+                report.trace.objective[-1] if len(report.trace) else None),
+            "best_objective": _finite_or_none(best),
             "iterations": report.iterations,
             "wall_time_s": report.trace.elapsed[-1] if len(report.trace) else 0.0,
             "termination": report.termination,
@@ -242,9 +248,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "trace_file": name,
         }
     with open(os.path.join(config.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return reports
+
+
+def _finite_or_none(value):
+    """value as a float, or None (JSON null) if it is absent or not finite."""
+    return float(value) if value is not None and np.isfinite(value) else None
 
 
 def _config_dict(config: ExperimentConfig) -> dict:

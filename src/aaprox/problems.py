@@ -3,13 +3,16 @@
 Losses expose value(x), grad(x) and a smoothness constant. For the
 least-squares and logistic losses the default constant is exact: the top
 squared singular value of A, scaled, plus 2 mu for the ridge term. Losses
-cache the last two products A @ x keyed on the argument object, so
-evaluating the value at a point and then the gradient at the same point
-costs one matvec, even with one other point evaluated in between. Callers
-must not mutate iterate arrays in place. What does not depend on the point
-is worked out at construction: the KL loss finds its live rows (those not
-identically zero) once, so value, gradient and domain check run on the live
-rows alone.
+remember their product at each of the last two points, keyed on the
+argument object, so evaluating the value at a point and then the gradient
+at the same point costs one product, even with one other point evaluated in
+between. That product is A @ x, and each gradient adds one product with
+A^T, except for least squares on a dense A with no more columns than rows:
+it forms its normal matrix A^T A once and needs only the n x n product
+A^T A x per point. Callers must not mutate iterate arrays in place. What
+does not depend on the point is worked out at construction: the KL loss
+finds its live rows (those not identically zero) once, so value, gradient
+and domain check run on the live rows alone.
 """
 
 from __future__ import annotations
@@ -94,7 +97,27 @@ class LogisticLoss:
 
 
 class LeastSquaresLoss:
-    """value(x) = ||A x - b||_2^2 / (2 M) + mu ||x||_2^2."""
+    """value(x) = ||A x - b||_2^2 / (2 M) + mu ||x||_2^2.
+
+    Two routes, fixed at construction by A. A dense ndarray with n <= M
+    takes the normal-matrix route: Q = A^T A, c = A^T b and b^T b are formed
+    once, which holds n^2 doubles for Q, and value and gradient at x share
+    one product Q x, remembered for the last two points:
+
+        grad(x)  = (Q x - c) / M + 2 mu x,
+        value(x) = (x^T Q x - 2 c^T x + b^T b) / (2 M) + mu ||x||^2.
+
+    Near an exact fit the three terms of that value cancel. Whenever
+    x^T Q x + 2 |c^T x| + b^T b exceeds 2^16 times their signed sum, which
+    covers every negative sum, the value is taken from the residual
+    instead. A value from Q therefore loses at most 16 bits to
+    cancellation: its error is within about 2^16 times the rounding error
+    of its terms.
+
+    Sparse A, any other matrix-like A and wide dense A (n > M) take the
+    residual route: r = A x - b with A x remembered for the last two points,
+    value from ||r||^2 and gradient A^T r / M + 2 mu x.
+    """
 
     def __init__(self, A, b, mu: float = 0.0, smoothness: float | None = None):
         self.A = A
@@ -105,15 +128,34 @@ class LeastSquaresLoss:
             smoothness = operator_norm_sq(A) / self.M + 2.0 * self.mu
         self.smoothness = float(smoothness)
         self._product = _IdentityMemo(_product)
+        self._normal = None
+        if isinstance(A, np.ndarray) and self.n <= self.M:
+            dense = np.asarray(A, dtype=float)
+            self._normal = (dense.T @ dense, dense.T @ self.b,
+                            float(np.dot(self.b, self.b)))
+            # keyed on x alone, so Q x cannot share the memo of A x
+            self._normal_product = _IdentityMemo(_product)
 
     def _resid(self, x):
         return self._product(x, self.A) - self.b
 
     def value(self, x) -> float:
+        ridge = self.mu * np.dot(x, x)
+        if self._normal is not None:
+            Q, c, bb = self._normal
+            quad = np.dot(x, self._normal_product(x, Q))
+            lin = np.dot(c, x)
+            sq = quad - 2.0 * lin + bb
+            if quad + 2.0 * abs(lin) + bb <= 2.0 ** 16 * sq:
+                return float(sq / (2.0 * self.M) + ridge)
         r = self._resid(x)
-        return float(np.dot(r, r) / (2.0 * self.M) + self.mu * np.dot(x, x))
+        return float(np.dot(r, r) / (2.0 * self.M) + ridge)
 
     def grad(self, x) -> np.ndarray:
+        if self._normal is not None:
+            Q, c, _ = self._normal
+            return ((self._normal_product(x, Q) - c) / self.M
+                    + 2.0 * self.mu * x)
         r = self._resid(x)
         g = self.A.T @ r
         return np.asarray(g).ravel() / self.M + 2.0 * self.mu * x

@@ -305,6 +305,29 @@ class TestMain:
             result = json.load(fh)["results"]["pga"]
         assert result["termination"] == "degenerate"
 
+    def test_summary_without_a_finite_objective_is_strict_json(self,
+                                                               tmp_path):
+        # no method has a finite objective: final and best are null, and
+        # the file parses without the non-standard NaN/Infinity tokens
+        with np.errstate(over="ignore", invalid="ignore"):
+            main(["run", "--problem", "quadratic", "--gamma", "1e308",
+                  "--method", "pga", "--out", str(tmp_path / "o")])
+
+        def reject(token):
+            raise ValueError("non-standard JSON token %s" % token)
+
+        with open(tmp_path / "o" / "summary.json") as fh:
+            result = json.load(fh, parse_constant=reject)["results"]["pga"]
+        assert result["final_objective"] is None
+        assert result["best_objective"] is None
+        _, cols = read_trace(tmp_path / "o" / "trace.csv")
+        assert math.isnan(float(cols["subopt"][0]))
+
+    def test_non_finite_settings_are_rejected(self):
+        for name in ("mu", "lam", "gamma", "tol"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{name: float("inf")})
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+from aaprox.anderson import AAConfig
 from aaprox.problems import (
     CompositeProblem,
     DomainError,
@@ -27,6 +28,7 @@ from aaprox.problems import (
     simplex_indicator,
     zero_term,
 )
+from aaprox.solvers import run_guarded_aa_pga
 
 
 def central_difference(value, x, h=1e-6):
@@ -59,6 +61,27 @@ class CountingMatrix:
 
     def __lt__(self, other):
         return self.A < other
+
+
+class CountingArray(np.ndarray):
+    """A dense ndarray that counts the products A @ x made on it."""
+
+    def __array_finalize__(self, obj):
+        self.forward = 0
+
+    def __matmul__(self, x):
+        self.forward += 1
+        return np.asarray(self) @ x
+
+
+class CountingCsr(sparse.csr_matrix):
+    """A CSR matrix that counts the products A @ x made on it."""
+
+    forward = 0
+
+    def __matmul__(self, x):
+        self.forward += 1
+        return super().__matmul__(x)
 
 
 class TestLogisticLoss:
@@ -139,6 +162,59 @@ class TestLeastSquaresLoss:
             f = least_squares_loss(A, np.zeros(9), mu=mu)
             top = np.linalg.eigvalsh(A.T @ A / 9 + 2 * mu * np.eye(3))[-1]
             assert_allclose(f.smoothness, top, rtol=1e-12)
+
+    def test_normal_matrix_route_matches_the_residual_formula(self):
+        rng = np.random.default_rng(5)
+        M, n = 40, 15
+        A = rng.standard_normal((M, n))
+        b = rng.standard_normal(M)
+        eps = np.finfo(float).eps
+        for mu in (0.0, 0.3):
+            f = least_squares_loss(A, b, mu=mu)
+            for x in (rng.standard_normal(n), np.linalg.lstsq(A, b)[0]):
+                r = A @ x - b
+                ridge = mu * np.dot(x, x)
+                quad, lin = x @ (A.T @ (A @ x)), (A.T @ b) @ x
+                terms = (quad + 2 * abs(lin) + b @ b) / (2 * M)
+                assert abs(f.value(x) - (r @ r / (2 * M) + ridge)) <= (
+                    64 * eps * (terms + ridge))
+                # elementwise, the rounding bound of A^T (A x - b)
+                scale = np.abs(A).T @ (np.abs(A) @ np.abs(x) + np.abs(b)) / M
+                grad = A.T @ r / M + 2 * mu * x
+                assert np.all(np.abs(f.grad(x) - grad)
+                              <= 64 * eps * (scale + 2 * mu * np.abs(x)))
+
+    @pytest.mark.parametrize("shape, fmt, products", [
+        ((12, 5), "dense", 0), ((5, 12), "dense", 1), ((12, 5), "csr", 1)],
+        ids=["tall_dense", "wide_dense", "tall_csr"])
+    def test_route_by_storage_and_shape(self, shape, fmt, products):
+        # tall dense A takes the normal-matrix route and never multiplies
+        # by A after construction; CSR and wide dense A take the residual
+        # route, one product A @ x per point
+        rng = np.random.default_rng(6)
+        dense = rng.standard_normal(shape)
+        A = (dense.view(CountingArray) if fmt == "dense"
+             else CountingCsr(dense))
+        f = least_squares_loss(A, rng.standard_normal(shape[0]))
+        before = A.forward
+        x = rng.standard_normal(shape[1])
+        f.value(x)
+        f.grad(x)
+        assert A.forward - before == products
+
+    def test_consistent_fit_with_a_large_target_stays_nonnegative(self):
+        # b = A x_true with ||b||^2 / 2M about 5.6e5: near the fit the three
+        # terms of the normal-matrix value cancel, and without the residual
+        # fallback the objective went down to -6e-10
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((300, 100))
+        b = A @ (100.0 * rng.random(100) + 50.0)
+        prob = CompositeProblem(least_squares_loss(A, b), nonneg_indicator(),
+                                100)
+        rep = run_guarded_aa_pga(prob, np.zeros(100),
+                                 aa_config=AAConfig(m=5), tol=0.0,
+                                 max_iters=3000)
+        assert min(rep.trace.objective) >= 0.0
 
 
 class TestKlLoss:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
+from aaprox import problems
 from aaprox.anderson import AAConfig
 from aaprox.counterexample import STEP, grad_f, value_f
 from aaprox.datasets import generate_logreg_instance, generate_nnls_instance
@@ -382,23 +384,30 @@ class CountingLoss:
         return self.loss.grad(x)
 
 
-class CountingMatrix:
-    """A dense matrix that counts its products A @ x; A.T is not counted."""
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the forward products of every loss built after it is set up.
 
-    def __init__(self, A):
-        self.A, self.T, self.shape = A, A.T, A.shape
-        self.products = 0
+    Least squares makes one per point: Q x on the normal-matrix route of
+    dense A, A x on the residual route. Both go through problems._product,
+    which a loss binds when it is built.
+    """
+    made = []
+    product = problems._product
 
-    def __matmul__(self, x):
-        self.products += 1
-        return self.A @ x
+    def counted(x, A):
+        made.append(1)
+        return product(x, A)
+
+    monkeypatch.setattr(problems, "_product", counted)
+    return made
 
 
 class GradProducts:
-    """Records the A @ x products each f.grad call of the loss makes."""
+    """Records the forward products each f.grad call of the loss makes."""
 
-    def __init__(self, loss):
-        self.loss = loss
+    def __init__(self, loss, products):
+        self.loss, self.products = loss, products
         self.smoothness = loss.smoothness
         self.per_call = []
 
@@ -406,9 +415,9 @@ class GradProducts:
         return self.loss.value(x)
 
     def grad(self, x):
-        before = self.loss.A.products
+        before = len(self.products)
         g = self.loss.grad(x)
-        self.per_call.append(self.loss.A.products - before)
+        self.per_call.append(len(self.products) - before)
         return g
 
 
@@ -544,12 +553,12 @@ class TestDampedRetry:
             seen.add(kind)
         assert seen == {"plain", "AA", "fallback", "tried", "damped"}
 
-    def test_gradient_after_a_failed_try_reuses_its_product(self):
+    @staticmethod
+    def assert_gradient_reuses_the_product(case, products):
         # a failed halfway try evaluates f last at the halfway point, and
         # the next row starts with the gradient at the plain point
-        base, x0, gamma, cfg = nonneg_lasso_case()
-        base.f.A = CountingMatrix(base.f.A)
-        counted = GradProducts(base.f)
+        base, x0, gamma, cfg = case
+        counted = GradProducts(base.f, products)
         prob = CompositeProblem(counted, base.h, base.n)
         rep = run_guarded_aa_pga(prob, x0, gamma, cfg, max_iters=150,
                                  keep_iterates=True)
@@ -557,6 +566,19 @@ class TestDampedRetry:
                  if kind == "fallback" and plain_passes(base, rep, k)]
         assert tried and tried[0] < 149
         assert counted.per_call == [1] + [0] * 149
+
+    def test_gradient_after_a_failed_try_reuses_its_product(self, products):
+        # dense A: the normal-matrix route, whose product is Q x
+        self.assert_gradient_reuses_the_product(nonneg_lasso_case(),
+                                                products)
+
+    def test_gradient_after_a_failed_try_reuses_its_product_on_csr(
+            self, products):
+        # the same case on the residual route, whose product is A x
+        base, x0, gamma, cfg = nonneg_lasso_case()
+        f = least_squares_loss(sparse.csr_matrix(base.f.A), base.f.b)
+        self.assert_gradient_reuses_the_product(
+            (CompositeProblem(f, base.h, base.n), x0, gamma, cfg), products)
 
 
 class TestRunNesterovPga:
