@@ -66,6 +66,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be positive, got %r" % self.gamma)
+        for name, low in (("m", 0), ("max_iters", 1), ("tol", 0)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be at least %d, got %r"
+                                 % (name, low, getattr(self, name)))
+        if self.synth is not None and min(self.synth) < 1:
+            raise ValueError("synth sizes must be at least 1, got %r"
+                             % (self.synth,))
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError("unknown method %r" % method)
@@ -114,7 +123,7 @@ class ProblemSetup:
     problem: object
     gamma: float
     x0: np.ndarray
-    y0: np.ndarray | None = None
+    y0: np.ndarray | None = None  # mirror image of x0; x0 when Euclidean
 
 
 def _load_data(config: ExperimentConfig):
@@ -135,15 +144,16 @@ def _load_data(config: ExperimentConfig):
 def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
     """Build the optimization problem an experiment runs on.
 
-    Step sizes default to the reciprocal of the smoothness constant of the
-    loss (relative smoothness for kl_l1); --gamma overrides.
+    Each problem picks its loss, its nonsmooth term and its start x0. The
+    step is config.gamma when set, else 1/L for the loss's smoothness
+    constant L (relative smoothness for kl_l1, 25 for counterexample). y0
+    is the mirror image of x0: grad phi(x0) under the Shannon kernel of
+    kl_l1, and x0 itself on the Euclidean problems, whose energy kernel
+    has the identity as its mirror map.
     """
     if config.problem == "counterexample":
-        problem = CompositeProblem(_PiecewiseLoss(), zero_term(), 1)
-        gamma = config.gamma if config.gamma else STEP
-        return ProblemSetup("euclidean", problem, gamma, np.array([2.1]))
-
-    if config.problem == "quadratic":
+        loss, h, x0 = _PiecewiseLoss(), zero_term(), np.array([2.1])
+    elif config.problem == "quadratic":
         n = config.synth[1] if config.synth else 20
         rng = np.random.default_rng(config.seed)
         eigs = np.logspace(0.0, 2.0, n)
@@ -151,54 +161,46 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
         H = (q * eigs) @ q.T
         loss = QuadraticLoss(H, center=rng.standard_normal(n),
                              smoothness=float(eigs[-1]))
-        problem = CompositeProblem(loss, zero_term(), n)
-        gamma = config.gamma if config.gamma else 1.0 / loss.smoothness
-        return ProblemSetup("euclidean", problem, gamma, np.zeros(n))
-
-    data = _load_data(config)
-    M, n = data.shape
-    if config.problem == "logreg_box":
-        loss = logistic_loss(data.A, data.b, mu=config.mu)
-        problem = CompositeProblem(loss, box_indicator(-1.0, 1.0), n)
-        x0 = np.zeros(n)
-    elif config.problem == "nnls":
-        loss = least_squares_loss(data.A, data.b, mu=config.mu)
-        problem = CompositeProblem(loss, nonneg_indicator(), n)
-        x0 = np.zeros(n)
-    else:  # kl_l1
-        loss = kl_loss(data.A, data.b)
-        gamma = config.gamma if config.gamma else 1.0 / loss.smoothness
-        problem = BregmanProblem(shannon_kernel(), loss, l1_term(config.lam),
-                                 gamma, n)
-        x0 = np.ones(n)
-        y0 = problem.kernel.grad(x0)
-        return ProblemSetup("bregman", problem, gamma, x0, y0)
-    gamma = config.gamma if config.gamma else 1.0 / loss.smoothness
-    return ProblemSetup("euclidean", problem, gamma, x0)
+        h, x0 = zero_term(), np.zeros(n)
+    else:
+        data = _load_data(config)
+        n = data.shape[1]
+        if config.problem == "logreg_box":
+            loss = logistic_loss(data.A, data.b, mu=config.mu)
+            h, x0 = box_indicator(-1.0, 1.0), np.zeros(n)
+        elif config.problem == "nnls":
+            loss = least_squares_loss(data.A, data.b, mu=config.mu)
+            h, x0 = nonneg_indicator(), np.zeros(n)
+        else:  # kl_l1
+            loss = kl_loss(data.A, data.b)
+            h, x0 = l1_term(config.lam), np.ones(n)
+    gamma = 1.0 / loss.smoothness if config.gamma is None else config.gamma
+    if config.problem == "kl_l1":
+        problem = BregmanProblem(shannon_kernel(), loss, h, gamma, x0.size)
+        return ProblemSetup("bregman", problem, gamma, x0,
+                            problem.kernel.grad(x0))
+    return ProblemSetup("euclidean", CompositeProblem(loss, h, x0.size),
+                        gamma, x0, x0)
 
 
 def _run_method(method: str, setup: ProblemSetup, config: ExperimentConfig):
     aa = AAConfig(m=config.m)
     kwargs = dict(tol=config.tol, max_iters=config.max_iters)
-    problem = setup.problem
-    if setup.kind == "euclidean" and method in BREGMAN_METHODS:
+    problem, x0, gamma = setup.problem, setup.x0, setup.gamma
+    if method in BREGMAN_METHODS and setup.kind == "euclidean":
         problem = BregmanProblem(energy_kernel(), problem.f, problem.h,
-                                 setup.gamma, problem.n)
+                                 gamma, problem.n)
     if method == "pga":
-        return run_pga(setup.problem, setup.x0, setup.gamma, **kwargs)
+        return run_pga(problem, x0, gamma, **kwargs)
     if method == "aa_pga":
-        return run_aa_pga(setup.problem, setup.x0, setup.gamma, aa, **kwargs)
+        return run_aa_pga(problem, x0, gamma, aa, **kwargs)
     if method == "guarded_aa_pga":
-        return run_guarded_aa_pga(setup.problem, setup.x0, setup.gamma, aa,
-                                  **kwargs)
+        return run_guarded_aa_pga(problem, x0, gamma, aa, **kwargs)
     if method == "nesterov":
-        return run_nesterov_pga(setup.problem, setup.x0, setup.gamma, **kwargs)
+        return run_nesterov_pga(problem, x0, gamma, **kwargs)
     if method == "bpg":
-        return run_bpg(problem, setup.x0, **kwargs)
-    if method == "guarded_aa_bpg":
-        y0 = setup.y0 if setup.y0 is not None else setup.x0
-        return run_guarded_aa_bpg(problem, y0, aa, **kwargs)
-    raise ValueError("unknown method %r" % method)
+        return run_bpg(problem, x0, **kwargs)
+    return run_guarded_aa_bpg(problem, setup.y0, aa, **kwargs)
 
 
 def _write_trace(path, report, best_objective: float) -> None:
@@ -233,7 +235,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     best = min(finite_objs) if finite_objs else np.nan
 
     single = len(config.methods) == 1
-    summary = {"config": _config_dict(config), "results": {}}
+    summary = {"config": asdict(config), "results": {}}
     for method, report in reports.items():
         name = "trace.csv" if single else "trace_%s.csv" % method
         _write_trace(os.path.join(config.out, name), report, best)
@@ -256,12 +258,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _finite_or_none(value):
     """value as a float, or None (JSON null) if it is absent or not finite."""
     return float(value) if value is not None and np.isfinite(value) else None
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["synth"] = list(config.synth) if config.synth else None
-    return d
 
 
 def _parse_synth(text: str) -> tuple:
@@ -309,13 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    methods = args.method.split(",") if args.method else None
-    config = ExperimentConfig.from_sources(
-        json_path=args.config,
-        problem=args.problem, methods=methods, m=args.m, mu=args.mu,
-        lam=args.lam, gamma=args.gamma, max_iters=args.max_iters,
-        tol=args.tol, seed=args.seed, data=args.data,
-        csv_has_header=args.csv_has_header, synth=args.synth, out=args.out)
+    fields = {key: value for key, value in vars(args).items()
+              if key in ExperimentConfig.__dataclass_fields__}
+    if args.method:
+        fields["methods"] = args.method.split(",")
+    config = ExperimentConfig.from_sources(args.config, **fields)
     reports = run_experiment(config)
     for method, report in reports.items():
         final = report.trace.objective[-1] if len(report.trace) else float("nan")

@@ -296,10 +296,12 @@ class TestAndersonEngine:
             assert_allclose(coeffs.alpha, [1.0])
             assert_allclose(x_next, g)
 
-    def test_a_rescued_degenerate_solve_is_counted(self):
+    @pytest.mark.parametrize("use_qr_updates", [False, True])
+    def test_a_rescued_degenerate_solve_is_counted(self, use_qr_updates):
         # two equal residuals make the unregularized bordered system
         # singular; the retry on the one-entry window succeeds
-        eng = AndersonEngine(3, AAConfig(m=2, reg_scale=0.0))
+        eng = AndersonEngine(3, AAConfig(m=2, reg_scale=0.0,
+                                         use_qr_updates=use_qr_updates))
         g, y = np.array([1.0, 2.0, 0.5]), np.array([0.5, 1.0, 1.0])
         eng.push(g, y)
         eng.push(g, y)
@@ -307,6 +309,13 @@ class TestAndersonEngine:
         assert not coeffs.degenerate
         assert len(eng) == 1
         assert eng.degenerate_count == 1
+        if use_qr_updates:
+            # the duplicate push is rank deficient, and the retry drops the
+            # oldest column from the factor as well
+            assert eng.deficiency_count == 1
+            assert eng.window.width == 1
+        else:
+            assert eng.window is None and eng.deficiency_count == 0
 
     def test_degenerate_solve_retries_on_shorter_window(self):
         eng = AndersonEngine(3, AAConfig(m=2, reg_scale=0.0,
@@ -396,13 +405,17 @@ class TestAndersonEngine:
             assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1, np.linalg.norm(x1))
             y1, y2 = x1, x2
 
-    def test_reset_clears_all_state(self):
-        eng = AndersonEngine(2, AAConfig(m=3))
+    @pytest.mark.parametrize("use_qr_updates", [False, True])
+    def test_reset_clears_all_state(self, use_qr_updates):
+        eng = AndersonEngine(2, AAConfig(m=3, use_qr_updates=use_qr_updates))
         eng.push(np.ones(2), np.zeros(2))
+        eng.push(np.array([2.0, 0.5]), np.zeros(2))
         eng.reset()
         assert len(eng) == 0
-        if eng.window is not None:
+        if use_qr_updates:
             assert eng.window.width == 0
+        else:
+            assert eng.window is None
 
 
 class TestRunAnderson:

@@ -18,6 +18,7 @@ from aaprox.cli import (
     run_experiment,
 )
 from aaprox.counterexample import CYCLE_POINT, STEP
+from aaprox.datasets import DatasetMatrix, write_libsvm
 
 
 def read_trace(path):
@@ -75,6 +76,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="stepsize"):
             ExperimentConfig.from_sources(json_path=p)
 
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", 0.0), ("gamma", -0.5), ("m", -1), ("max_iters", 0),
+        ("max_iters", -3), ("tol", -1e-12), ("synth", (0, 5)),
+        ("synth", (5, 0))], ids=str)
+    def test_out_of_range_settings_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
+    def test_boundary_settings_are_accepted(self):
+        cfg = ExperimentConfig(m=0, max_iters=1, tol=0.0, synth=(1, 1),
+                               gamma=1e-300)
+        assert (cfg.m, cfg.max_iters, cfg.synth) == (0, 1, (1, 1))
+
 
 class TestAssembleProblem:
     def test_quadratic_defaults(self):
@@ -83,6 +97,8 @@ class TestAssembleProblem:
         assert setup.problem.n == 20
         assert setup.gamma == pytest.approx(1e-2, rel=1e-12)  # top eig 100
         assert_allclose(setup.x0, np.zeros(20))
+        # the energy kernel's mirror map is the identity
+        assert setup.y0 is setup.x0
 
     def test_gamma_override(self):
         cfg = ExperimentConfig(problem="quadratic", gamma=0.5)
@@ -121,15 +137,23 @@ class TestAssembleProblem:
         with pytest.raises(ValueError, match="--data or --synth"):
             assemble_problem(cfg)
 
-    def test_csv_data_source(self, tmp_path):
-        p = tmp_path / "d.csv"
+    @pytest.mark.parametrize("name", ["d.csv", "d.svm"])
+    def test_csv_data_source(self, tmp_path, name):
+        # a .csv suffix selects the dense reader, anything else LIBSVM
+        p = tmp_path / name
         rng = np.random.default_rng(0)
         A = rng.random((10, 3))
         b = A @ np.array([1.0, 2.0, 0.5])
-        np.savetxt(p, np.column_stack([A, b]), delimiter=",")
+        if name.endswith(".csv"):
+            np.savetxt(p, np.column_stack([A, b]), delimiter=",")
+        else:
+            write_libsvm(DatasetMatrix(A, b), p)
         cfg = ExperimentConfig(problem="nnls", methods=["pga"], data=str(p))
         setup = assemble_problem(cfg)
         assert setup.problem.n == 3
+        x = np.array([0.5, 1.0, 1.5])
+        assert setup.problem.f.value(x) == pytest.approx(
+            np.sum((A @ x - b) ** 2) / 20, rel=1e-12)
 
 
 class TestRunExperiment:
@@ -289,20 +313,21 @@ class TestMain:
         assert len(pga["objective"]) == 50
         assert pga["objective"] == bpg["objective"]
 
+    @pytest.mark.parametrize("method", ["pga", "nesterov"])
     def test_run_with_no_finite_objective_exits_cleanly(self, tmp_path,
-                                                         capsys):
-        # a step of 1e308 overflows the first iterate, so pga records one
-        # non-finite objective and stops as degenerate
+                                                         capsys, method):
+        # a step of 1e308 overflows the first iterate, so the run records
+        # one non-finite objective and stops as degenerate
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["run", "--problem", "quadratic", "--gamma", "1e308",
-                       "--method", "pga", "--out", str(tmp_path / "o")])
+                       "--method", method, "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "degenerate" in capsys.readouterr().out
         rows, cols = read_trace(tmp_path / "o" / "trace.csv")
         assert len(rows) == 1
         assert not math.isfinite(float(cols["objective"][0]))
         with open(tmp_path / "o" / "summary.json") as fh:
-            result = json.load(fh)["results"]["pga"]
+            result = json.load(fh)["results"][method]
         assert result["termination"] == "degenerate"
 
     def test_summary_without_a_finite_objective_is_strict_json(self,
@@ -327,6 +352,13 @@ class TestMain:
         for name in ("mu", "lam", "gamma", "tol"):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{name: float("inf")})
+
+    def test_rejected_settings_write_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="m must be"):
+            main(["run", "--problem", "nnls", "--synth", "50,20",
+                  "--method", "pga", "--m", "-1", "--out", str(out)])
+        assert not out.exists()
 
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
