@@ -20,8 +20,8 @@ from .problems import (CompositeProblem, DomainError, KlLoss,
 from .solvers import (IterationTrace, SolveReport, descent_check, g_map,
                       pga_step, run_aa_pga, run_guarded_aa_pga,
                       run_nesterov_pga, run_pga)
-from .counterexample import (closed_form_step, grad_f, run_counterexample,
-                             value_f)
+from .counterexample import (PiecewiseLoss, closed_form_step, grad_f,
+                             run_counterexample, value_f)
 from .datasets import (DatasetMatrix, generate_kl_instance,
                        generate_logreg_instance, generate_nnls_instance,
                        load_dense_csv, parse_libsvm, write_libsvm)

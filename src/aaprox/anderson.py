@@ -9,6 +9,7 @@ depth m = 0 the proposal is the plain fixed-point step.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,12 @@ class AAConfig:
     coefficients are reset to the pure fixed-point weights. The coefficients
     solve through dense normal equations over the residual window;
     use_qr_updates opts in to the incrementally updated QR window instead.
-    flush_on_fallback clears the window whenever a guarded driver rejects
-    an extrapolated point.
     """
 
     m: int
     reg_scale: float = 1e-10
     m_alpha: float = math.inf
     use_qr_updates: bool = False
-    flush_on_fallback: bool = False
 
     def __post_init__(self):
         if self.m < 0:
@@ -78,18 +76,15 @@ class ResidualHistory:
         if m < 0:
             raise ValueError("window depth m must be nonnegative")
         self.capacity = m + 1
-        self._g: list[np.ndarray] = []
-        self._r: list[np.ndarray] = []
+        self._g: deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._r: deque[np.ndarray] = deque(maxlen=self.capacity)
 
     def __len__(self) -> int:
         return len(self._g)
 
     def push(self, g_val: np.ndarray, residual: np.ndarray) -> None:
-        self._g.insert(0, g_val)
-        self._r.insert(0, residual)
-        if len(self._g) > self.capacity:
-            self._g.pop()
-            self._r.pop()
+        self._g.appendleft(g_val)
+        self._r.appendleft(residual)
 
     def drop_oldest(self) -> None:
         if not self._g:
@@ -346,10 +341,13 @@ class AndersonEngine:
             return self.history.newest(), coeffs
         return self.history.combine(alpha), coeffs
 
-    def reset(self) -> None:
-        self.history.clear()
-        if self.window is not None:
-            self.window.clear()
+
+def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
+    """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
+    residual_norm > tol > 0, the one case where the answer depends on it."""
+    if residual_norm <= tol:
+        return True
+    return tol > 0.0 and residual_norm <= tol * float(np.linalg.norm(g))
 
 
 @dataclass
@@ -385,7 +383,7 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
         g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
         rn = float(np.linalg.norm(engine.push(g_val, x)))
         residual_norms.append(rn)
-        if k and rn <= tol * max(1.0, float(np.linalg.norm(g_val))):
+        if k and _stop(rn, g_val, tol):
             termination = "tol"
             break
         x, coeffs = engine.extrapolate()

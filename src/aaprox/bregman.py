@@ -185,13 +185,11 @@ def hellinger_kernel() -> Kernel:
 
 
 def _cubic_root(s: float, alpha: float) -> float:
-    """The nonnegative root of t^3 + alpha t = s, for s >= 0, alpha >= 0.
+    """The positive root of t^3 + alpha t = s, for s > 0, alpha >= 0.
 
     Newton from the smaller of the two upper bounds s^(1/3) and s / alpha;
     the iteration is monotone decreasing onto the root.
     """
-    if s == 0.0:
-        return 0.0
     t = s ** (1.0 / 3.0)
     if alpha > 0.0:
         t = min(t, s / alpha)

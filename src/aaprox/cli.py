@@ -20,7 +20,7 @@ import numpy as np
 from .anderson import AAConfig
 from .bregman import (BregmanProblem, energy_kernel, run_bpg,
                       run_guarded_aa_bpg, shannon_kernel)
-from .counterexample import (STEP, grad_f, run_counterexample, value_f)
+from .counterexample import PiecewiseLoss, run_counterexample, value_f
 from .datasets import (generate_kl_instance, generate_logreg_instance,
                        generate_nnls_instance, load_dense_csv, parse_libsvm)
 from .problems import (CompositeProblem, QuadraticLoss, box_indicator,
@@ -75,9 +75,13 @@ class ExperimentConfig:
         if self.synth is not None and min(self.synth) < 1:
             raise ValueError("synth sizes must be at least 1, got %r"
                              % (self.synth,))
-        for method in self.methods:
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        for i, method in enumerate(self.methods):
             if method not in METHODS:
                 raise ValueError("unknown method %r" % method)
+            if method in self.methods[:i]:
+                raise ValueError("method %r is named twice" % method)
             if self.problem == "kl_l1" and method not in BREGMAN_METHODS:
                 raise ValueError(
                     "problem kl_l1 needs a Bregman method, not %r" % method)
@@ -103,18 +107,6 @@ class ExperimentConfig:
         if isinstance(fields.get("synth"), (list, tuple)):
             fields["synth"] = tuple(int(v) for v in fields["synth"])
         return cls(**fields)
-
-
-class _PiecewiseLoss:
-    """Adapter exposing the scalar cycling objective as a 1-d smooth loss."""
-
-    smoothness = 1.0 / STEP
-
-    def value(self, x):
-        return float(value_f(x[0]))
-
-    def grad(self, x):
-        return np.atleast_1d(np.asarray(grad_f(x), dtype=float))
 
 
 @dataclass
@@ -152,7 +144,7 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
     has the identity as its mirror map.
     """
     if config.problem == "counterexample":
-        loss, h, x0 = _PiecewiseLoss(), zero_term(), np.array([2.1])
+        loss, h, x0 = PiecewiseLoss(), zero_term(), np.array([2.1])
     elif config.problem == "quadratic":
         n = config.synth[1] if config.synth else 20
         rng = np.random.default_rng(config.seed)
@@ -307,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     fields = {key: value for key, value in vars(args).items()
               if key in ExperimentConfig.__dataclass_fields__}
-    if args.method:
+    if args.method is not None:
         fields["methods"] = args.method.split(",")
     config = ExperimentConfig.from_sources(args.config, **fields)
     reports = run_experiment(config)

@@ -26,6 +26,7 @@ __all__ = [
     "SPIRAL_POINT",
     "STEP",
     "CycleReport",
+    "PiecewiseLoss",
     "closed_form_step",
     "grad_f",
     "run_counterexample",
@@ -61,6 +62,18 @@ def value_f(x):
     out = np.where(ax <= 1.0, 12.5 * x * x,
                    0.05 * x * x + 24.9 * ax - 12.45)
     return out if out.ndim else float(out)
+
+
+class PiecewiseLoss:
+    """The cycling objective as a smooth loss on R^1, for the drivers."""
+
+    smoothness = 1.0 / STEP
+
+    def value(self, x):
+        return float(value_f(x[0]))
+
+    def grad(self, x):
+        return np.atleast_1d(np.asarray(grad_f(x), dtype=float))
 
 
 def closed_form_step(x_curr: float, x_prev: float) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anderson import AAConfig, AndersonEngine
-from .problems import CompositeProblem, DomainError, _IdentityMemo
+from .anderson import AAConfig, AndersonEngine, _stop
+from .problems import CompositeProblem, DomainError
 
 __all__ = [
     "IterationTrace",
@@ -95,30 +95,22 @@ def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
     return f_test <= f_curr - 0.5 * gamma * grad_norm_sq
 
 
-def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
-    """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
-    residual_norm > tol > 0, the one case where the answer depends on it."""
-    if residual_norm <= tol:
-        return True
-    return tol > 0.0 and residual_norm <= tol * float(np.linalg.norm(g))
-
-
-def _decrease_guard():
-    """descent_check as a loop guard, for one run: ||grad f(x)||^2 is worked
-    out once per gradient, not once per guard call."""
-    grad_norm_sq = _IdentityMemo(lambda grad: float(np.dot(grad, grad)), 1)
-
-    def guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
-        return descent_check(f_test, f_curr, grad_norm_sq(grad), gamma)
-
-    return guard
+def _descent_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
+    """descent_check in the loop's guard signature."""
+    return descent_check(f_test, f_curr, float(np.dot(grad, grad)), gamma)
 
 
 def _value_or_inf(f, x) -> float:
-    """f.value(x), or inf where x is not finite or f raises DomainError."""
+    """f.value(x), or inf where x is not finite or f raises DomainError.
+
+    Overflow and invalid operations inside f are not warned about: the
+    guard rejects the inf or nan they produce like any other failed
+    candidate.
+    """
     if np.isfinite(x).all():
         try:
-            return f.value(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return f.value(x)
         except DomainError:
             pass
     return np.inf
@@ -143,10 +135,10 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     fallback needs anyway); only if x_plain passes the same guard, so that
     the segment from g to y_ext brackets the guard, is the halfway point
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
-    step when it passes. A damped step is not a fallback and does not flush
-    the window. A candidate that is not finite, or whose f raises
-    DomainError, has f_test = inf. Guarded runs with kept iterates record
-    x_plain on every row: None on the first, x on a later plain row.
+    step when it passes. The window is kept across rejections. A candidate
+    that is not finite, or whose f raises DomainError, has f_test = inf.
+    Guarded runs with kept iterates record x_plain on every row: None on
+    the first, x on a later plain row.
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
@@ -187,8 +179,6 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                             x_next, y, f_next, kind = (x_half, y_half, f_half,
                                                        "damped")
                 x = x_next
-                if kind == "fallback" and engine.config.flush_on_fallback:
-                    engine.reset()
         if np.isfinite(x).all():
             f_curr = f.value(x) if f_next is None else f_next
             objective = f_curr + h.value(x)
@@ -254,28 +244,26 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     steps at a run_pga step's cost; any other costs one extra prox, and a
     rejected one also an extra f evaluation; a halfway try costs one more
     prox and one more f evaluation. The residual window is kept across
-    rejections unless the config says to flush it.
+    rejections.
     """
     return _run_euclidean(problem, x0, gamma,
                           AAConfig(m=5) if aa_config is None else aa_config,
-                          _decrease_guard(), tol=tol, max_iters=max_iters,
+                          _descent_guard, tol=tol, max_iters=max_iters,
                           keep_iterates=keep_iterates)
 
 
 def run_nesterov_pga(problem: CompositeProblem, x0,
                      gamma: float | None = None, tol: float = 0.0,
-                     max_iters: int = 1000, keep_iterates: bool = False,
-                     momentum=None) -> SolveReport:
+                     max_iters: int = 1000,
+                     keep_iterates: bool = False) -> SolveReport:
     """Proximal gradient with momentum beta_k = (k - 1) / (k + 2).
 
-    momentum may be a callable k -> beta_k; forcing it to zero reproduces
-    run_pga iterates. The recorded residual is the difference quotient
-    ||x_{k+1} - x_k|| / gamma, a surrogate for the gradient mapping norm.
+    beta_1 = 0, so the first step is the plain proximal gradient step. The
+    recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
+    a surrogate for the gradient mapping norm.
     """
     if gamma is None:
         gamma = 1.0 / problem.f.smoothness
-    if momentum is None:
-        momentum = lambda k: (k - 1.0) / (k + 2.0)
     start = time.perf_counter()
     x = np.asarray(x0, dtype=float)
     x_prev = x
@@ -283,8 +271,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     termination = "max_iters"
 
     for k in range(1, max_iters + 1):
-        beta = momentum(k)
-        z = x + beta * (x - x_prev)
+        z = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
         x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
         rn = float(np.linalg.norm(x_next - x)) / gamma
         x_prev, x = x, x_next

@@ -30,8 +30,8 @@ from aaprox.bregman import (
     run_guarded_aa_bpg,
     shannon_kernel,
 )
-from aaprox.counterexample import SPIRAL_POINT, STEP, grad_f, \
-    run_counterexample, value_f
+from aaprox.counterexample import SPIRAL_POINT, STEP, PiecewiseLoss, \
+    run_counterexample
 from aaprox.datasets import (
     generate_kl_instance,
     generate_logreg_instance,
@@ -55,18 +55,6 @@ from aaprox.solvers import descent_check, run_aa_pga, run_guarded_aa_pga, \
 
 def announce(num, label, detail):
     print("criterion %02d %s: PASS (%s)" % (num, label, detail))
-
-
-class ScalarPiecewiseLoss:
-    """The cycling objective as a 1-d smooth loss."""
-
-    smoothness = 25.0
-
-    def value(self, x):
-        return float(value_f(x[0]))
-
-    def grad(self, x):
-        return np.atleast_1d(np.asarray(grad_f(x), dtype=float))
 
 
 def first_hit(objectives, f_star, tol=1e-6):
@@ -153,7 +141,7 @@ def test_criterion_01_cycle_exactness():
 
 
 def test_criterion_02_guard_convergence():
-    loss = ScalarPiecewiseLoss()
+    loss = PiecewiseLoss()
     prob = CompositeProblem(loss, zero_term(), 1)
     aa = AAConfig(m=1, reg_scale=0.0, use_qr_updates=False)
     t0 = time.perf_counter()

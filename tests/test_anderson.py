@@ -249,6 +249,21 @@ class TestQrWindow:
         with pytest.raises(ValueError):
             win.append(np.ones(3))
 
+    def test_drop_oldest_after_a_repeated_column(self):
+        # the repeat lies in the span exactly, so its R diagonal is 0 and the
+        # second Givens step of the drop has nothing to zero: no rotation
+        a, b = np.array([2.0, 0.0, 0.0]), np.array([1.0, 3.0, 0.0])
+        win = QrWindow(3, 3)
+        for column in (a, b, b):
+            win.append(column)
+        assert win.r[2, 2] == 0.0
+        ops = win.vector_ops
+        win.drop_oldest()
+        assert win.vector_ops == ops + 2  # one rotation of two Q columns
+        assert win.width == 2
+        assert_allclose(win.matrix(), np.column_stack([b, b]), atol=1e-15)
+        assert_allclose(win.q.T @ win.q, np.eye(2), atol=1e-15)
+
     def test_slide_work_stays_linear_in_window_width(self):
         # per slide: two orthogonalization passes (2p vector ops each), one
         # norm, one scaling, and at most p-1 plane rotations (2 ops each)
@@ -404,18 +419,6 @@ class TestAndersonEngine:
                 assert np.max(np.abs(c1.alpha - c2.alpha)) <= 1e-8
             assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1, np.linalg.norm(x1))
             y1, y2 = x1, x2
-
-    @pytest.mark.parametrize("use_qr_updates", [False, True])
-    def test_reset_clears_all_state(self, use_qr_updates):
-        eng = AndersonEngine(2, AAConfig(m=3, use_qr_updates=use_qr_updates))
-        eng.push(np.ones(2), np.zeros(2))
-        eng.push(np.array([2.0, 0.5]), np.zeros(2))
-        eng.reset()
-        assert len(eng) == 0
-        if use_qr_updates:
-            assert eng.window.width == 0
-        else:
-            assert eng.window is None
 
 
 class TestRunAnderson:

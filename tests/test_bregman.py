@@ -1,6 +1,8 @@
 """Mirror-map kernels, Bregman distances, entropy proximal maps, and the
 Bregman proximal gradient drivers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,7 @@ from aaprox.bregman import (
     run_guarded_aa_bpg,
     shannon_kernel,
 )
+from aaprox.datasets import generate_kl_instance
 from aaprox.problems import (
     CompositeProblem,
     DomainError,
@@ -266,6 +269,9 @@ class TestBregmanProx:
         with pytest.raises(DomainError):
             bregman_prox(l1_term(0.1), shannon_kernel(), 1.0,
                          np.array([0.0, 1.0]))
+        with pytest.raises(DomainError):
+            bregman_prox(simplex_indicator(), shannon_kernel(), 1.0,
+                         np.array([-0.5, 2.0]))
 
 
 def kl_problem(seed=0, M=30, n=8, h=None):
@@ -276,6 +282,14 @@ def kl_problem(seed=0, M=30, n=8, h=None):
     f = kl_loss(A, b)
     h = zero_term() if h is None else h
     return BregmanProblem(shannon_kernel(), f, h, 1.0 / f.smoothness, n)
+
+
+def test_objective_adds_the_loss_and_the_term():
+    prob = kl_problem(seed=21, h=l1_term(0.3))
+    x = np.linspace(0.5, 1.5, prob.n)
+    assert prob.objective(x) == prob.f.value(x) + prob.h.value(x)
+    assert_allclose(prob.objective(x) - prob.f.value(x), 0.3 * x.sum(),
+                    rtol=1e-15)
 
 
 def test_bpg_step_energy_kernel_equals_pga_step():
@@ -379,6 +393,32 @@ class TestRunGuardedAaBpg:
         prob = BregmanProblem(burg_kernel(), prob.f, prob.h, prob.gamma, prob.n)
         with pytest.raises(ValueError):
             run_guarded_aa_bpg(prob, np.zeros(prob.n), AAConfig(m=3))
+
+    def test_default_config_is_depth_five(self):
+        prob = kl_problem(seed=15)
+        y0 = prob.kernel.grad(np.ones(prob.n))
+        ra = run_guarded_aa_bpg(prob, y0, max_iters=60)
+        rb = run_guarded_aa_bpg(prob, y0, AAConfig(m=5), max_iters=60)
+        assert "AA" in ra.trace.step_kind
+        assert np.array_equal(ra.x, rb.x)
+        assert ra.trace.objective == rb.trace.objective
+        assert ra.trace.step_kind == rb.trace.step_kind
+
+    def test_overflowing_candidates_are_rejected_without_a_warning(self):
+        # criterion 10's kl_hard data with no Tikhonov term: some candidates
+        # overflow the KL value; the guard rejects them as inf, quietly
+        data = generate_kl_instance(500, 50, seed=3, density=0.5)
+        f = kl_loss(data.A, data.b)
+        prob = BregmanProblem(shannon_kernel(), f, zero_term(),
+                              1.0 / f.smoothness, 50)
+        y0 = prob.kernel.grad(np.ones(50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = run_guarded_aa_bpg(prob, y0, AAConfig(m=5, reg_scale=0.0),
+                                     max_iters=3000)
+        assert rep.termination == "max_iters"
+        assert np.isfinite(rep.trace.objective).all()
+        assert "fallback" in rep.trace.step_kind
 
     def test_depth_zero_tracks_plain_bpg(self):
         # y0 seeds the guarded run; its proximal image is the primal start,

@@ -360,6 +360,21 @@ class TestMain:
                   "--method", "pga", "--m", "-1", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,fields,fragment", [
+        (["--method", "pga,pga"], {}, "'pga' is named twice"),
+        (["--method", ""], {}, "unknown method ''"),
+        ([], {"methods": []}, "at least one method"),
+    ], ids=["repeated_flag", "empty_flag", "empty_json"])
+    def test_bad_method_lists_write_nothing(self, tmp_path, flags, fields,
+                                            fragment):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(problem="quadratic", **fields)))
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match=fragment):
+            main(["run", "--config", str(cfg_path), *flags,
+                  "--out", str(out)])
+        assert not out.exists()
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

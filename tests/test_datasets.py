@@ -80,6 +80,16 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match="no data rows"):
             parse_libsvm(p)
 
+    def test_writer_gives_an_empty_row_its_label_alone(self, tmp_path):
+        data = DatasetMatrix(sparse.csr_matrix([[0.0, 2.5], [0.0, 0.0]]),
+                             np.array([3.0, -2.0]))
+        p = tmp_path / "rt.txt"
+        write_libsvm(data, p)
+        assert p.read_text() == "3 2:2.5\n-2\n"
+        back = parse_libsvm(p, n_features=2)
+        assert_allclose(back.A.toarray(), data.A.toarray(), rtol=0)
+        assert_allclose(back.b, data.b, rtol=0)
+
     def test_round_trip_through_writer(self, tmp_path):
         rng = np.random.default_rng(0)
         A = sparse.random(8, 5, density=0.4, random_state=1, format="csr")

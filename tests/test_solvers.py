@@ -1,5 +1,7 @@
 """Proximal gradient drivers: steps, guards, traces, and stopping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -178,14 +180,6 @@ class TestRunGuardedAaPga:
         r2 = run_pga(prob, np.zeros(prob.n), max_iters=100)
         assert_allclose(r1.x, r2.x, atol=1e-12)
 
-    def test_flush_on_fallback_still_converges(self):
-        prob = lasso_problem(seed=11)
-        cfg = AAConfig(m=4, flush_on_fallback=True)
-        rep = run_guarded_aa_pga(prob, np.zeros(prob.n), aa_config=cfg,
-                                 max_iters=200)
-        assert rep.termination in ("tol", "max_iters")
-        assert_allclose(pga_step(prob, rep.x, rep.gamma), rep.x, atol=1e-8)
-
     def test_feasibility_with_box_constraints(self):
         prob = lasso_problem(seed=12)
         prob = CompositeProblem(prob.f, box_indicator(-0.4, 0.4), prob.n)
@@ -203,20 +197,6 @@ class TestRunGuardedAaPga:
                                  max_iters=3000)
         assert rep.termination == "tol"
         assert_allclose(pga_step(prob, rep.x, rep.gamma), rep.x, atol=1e-9)
-
-    def test_a_flushed_window_takes_the_plain_step(self):
-        # after a flush the window holds one residual, whose weight is 1
-        data = generate_nnls_instance(200, 100, seed=1, cond=1e3)
-        prob = CompositeProblem(least_squares_loss(data.A, data.b),
-                                nonneg_indicator(), 100)
-        cfg = AAConfig(m=5, flush_on_fallback=True)
-        rep = run_guarded_aa_pga(prob, np.zeros(100), aa_config=cfg,
-                                 max_iters=200)
-        kinds = rep.trace.step_kind
-        after = [kinds[k + 1] for k in range(len(kinds) - 1)
-                 if kinds[k] == "fallback"]
-        assert after and set(after) == {"plain"}
-        assert "AA" in kinds
 
     @pytest.mark.parametrize("name", ["logreg", "nnls"])
     def test_qr_window_follows_the_dense_solve(self, name):
@@ -581,14 +561,17 @@ class TestDampedRetry:
             (CompositeProblem(f, base.h, base.n), x0, gamma, cfg), products)
 
 
-class TestRunNesterovPga:
-    def test_zero_momentum_matches_plain_pga(self):
-        prob = lasso_problem(seed=14)
-        x0 = np.zeros(prob.n)
-        r1 = run_pga(prob, x0, max_iters=50)
-        r2 = run_nesterov_pga(prob, x0, max_iters=50, momentum=lambda k: 0.0)
-        assert_allclose(r1.x, r2.x, atol=1e-13)
+def test_only_candidate_evaluations_are_quiet_on_overflow():
+    # the first step is plain, and its objective overflows in the open
+    prob = lasso_problem(seed=17)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run_guarded_aa_pga(prob, np.full(prob.n, 1e200), max_iters=1)
+    assert any("overflow" in str(w.message) for w in caught)
+    assert not np.isfinite(rep.trace.objective[0])
 
+
+class TestRunNesterovPga:
     def test_default_momentum_schedule(self):
         # beta_1 = 0 so the first step must be the plain step
         prob = lasso_problem(seed=15)
