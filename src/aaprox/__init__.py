@@ -17,9 +17,9 @@ from .problems import (CompositeProblem, DomainError, KlLoss,
                        least_squares_loss, logistic_loss, nonneg_indicator,
                        operator_norm_sq, project_box, project_nonneg,
                        prox_l1, simplex_indicator, zero_term)
-from .solvers import (IterationTrace, SolveReport, descent_check, g_map,
-                      pga_step, run_aa_pga, run_guarded_aa_pga,
-                      run_nesterov_pga, run_pga)
+from .solvers import (IterationTrace, SolveReport, descent_check, pga_step,
+                      run_aa_pga, run_guarded_aa_pga, run_nesterov_pga,
+                      run_pga)
 from .counterexample import (PiecewiseLoss, closed_form_step, grad_f,
                              run_counterexample, value_f)
 from .datasets import (DatasetMatrix, generate_kl_instance,

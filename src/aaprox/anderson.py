@@ -92,10 +92,6 @@ class ResidualHistory:
         self._g.pop()
         self._r.pop()
 
-    def clear(self) -> None:
-        self._g.clear()
-        self._r.clear()
-
     def newest(self) -> np.ndarray:
         return self._g[0]
 
@@ -184,12 +180,11 @@ class QrWindow:
     and rotations applied to Q), which is the structural cost of a slide.
     """
 
-    def __init__(self, n: int, capacity: int, deficiency_rtol: float = 1e-14):
+    def __init__(self, n: int, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.n = n
         self.capacity = capacity
-        self.deficiency_rtol = deficiency_rtol
         self.q = np.zeros((n, 0))
         self.r = np.zeros((0, 0))
         self.vector_ops = 0
@@ -254,10 +249,6 @@ class QrWindow:
             self.drop_oldest()
         self.append(column)
 
-    def clear(self) -> None:
-        self.q = np.zeros((self.n, 0))
-        self.r = np.zeros((0, 0))
-
     @property
     def rank_deficient(self) -> bool:
         """True when some R diagonal entry falls below 1e-14 * ||R||_F."""
@@ -267,7 +258,7 @@ class QrWindow:
         fro = float(np.linalg.norm(self.r))
         if fro == 0.0:
             return True
-        return bool(diag.min() < self.deficiency_rtol * fro)
+        return bool(diag.min() < 1e-14 * fro)
 
     def solve_coefficients(self, reg_scale: float) -> ExtrapolationCoefficients:
         """Coefficient solve through the p x p triangular factor.

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import expit
 
 from .anderson import AAConfig, AndersonEngine
-from .problems import DomainError, NonsmoothTerm, _IdentityMemo
+from .problems import (CompositeProblem, DomainError, NonsmoothTerm,
+                       _IdentityMemo)
 from .solvers import SolveReport, _proximal_gradient
 
 __all__ = [
@@ -188,14 +189,16 @@ def _cubic_root(s: float, alpha: float) -> float:
     """The positive root of t^3 + alpha t = s, for s > 0, alpha >= 0.
 
     Newton from the smaller of the two upper bounds s^(1/3) and s / alpha;
-    the iteration is monotone decreasing onto the root.
+    the iteration is monotone decreasing onto the root. It stops once
+    |t^3 + alpha t - s| <= 1e-14 s, a test relative to s, so a small s is
+    solved as accurately as a large one.
     """
     t = s ** (1.0 / 3.0)
     if alpha > 0.0:
         t = min(t, s / alpha)
     for _ in range(100):
         psi = t * t * t + alpha * t - s
-        if abs(psi) <= 1e-14 * max(1.0, s):
+        if abs(psi) <= 1e-14 * s:
             break
         dpsi = 3.0 * t * t + alpha
         t -= psi / dpsi
@@ -283,8 +286,7 @@ class BregmanProblem:
     gamma: float
     n: int
 
-    def objective(self, x) -> float:
-        return float(self.f.value(x)) + float(self.h.value(x))
+    objective = CompositeProblem.objective
 
 
 def bpg_step(problem: BregmanProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

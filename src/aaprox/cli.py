@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -43,6 +44,14 @@ BREGMAN_METHODS = ("bpg", "guarded_aa_bpg")
 METHODS = EUCLIDEAN_METHODS + BREGMAN_METHODS
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "quadratic"
@@ -60,6 +69,29 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        # a JSON config can hold any type, so types are checked before values
+        for names, is_type, kind in (
+                (("m", "max_iters", "seed"), _is_int, "an integer"),
+                (("mu", "lam", "gamma", "tol"), _is_number, "a number"),
+                (("problem", "data", "out"), lambda v: isinstance(v, str),
+                 "a string"),
+                (("csv_has_header",), lambda v: isinstance(v, bool),
+                 "true or false")):
+            for name in names:
+                value = getattr(self, name)
+                if not is_type(value) and not (
+                        value is None and name in ("gamma", "data")):
+                    raise ValueError("%s must be %s, got %r"
+                                     % (name, kind, value))
+        if self.synth is not None and not (
+                isinstance(self.synth, (list, tuple)) and len(self.synth) == 2
+                and all(map(_is_int, self.synth))):
+            raise ValueError("synth must be two integers M, n, got %r"
+                             % (self.synth,))
+        if not (isinstance(self.methods, list)
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError("methods must be a list of strings, got %r"
+                             % (self.methods,))
         if self.problem not in PROBLEMS:
             raise ValueError("unknown problem %r" % self.problem)
         for name in ("mu", "lam", "gamma", "tol"):
@@ -104,8 +136,8 @@ class ExperimentConfig:
         for key, val in overrides.items():
             if val is not None:
                 fields[key] = val
-        if isinstance(fields.get("synth"), (list, tuple)):
-            fields["synth"] = tuple(int(v) for v in fields["synth"])
+        if isinstance(fields.get("synth"), list):
+            fields["synth"] = tuple(fields["synth"])
         return cls(**fields)
 
 
@@ -232,11 +264,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         name = "trace.csv" if single else "trace_%s.csv" % method
         _write_trace(os.path.join(config.out, name), report, best)
         summary["results"][method] = {
-            "final_objective": _finite_or_none(
-                report.trace.objective[-1] if len(report.trace) else None),
+            "final_objective": _finite_or_none(report.trace.objective[-1]),
             "best_objective": _finite_or_none(best),
             "iterations": report.iterations,
-            "wall_time_s": report.trace.elapsed[-1] if len(report.trace) else 0.0,
+            "wall_time_s": report.trace.elapsed[-1],
             "termination": report.termination,
             "gamma": report.gamma,
             "trace_file": name,
@@ -248,8 +279,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _finite_or_none(value):
-    """value as a float, or None (JSON null) if it is absent or not finite."""
-    return float(value) if value is not None and np.isfinite(value) else None
+    """value as a float, or None (JSON null) if it is not finite."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _parse_synth(text: str) -> tuple:
@@ -304,9 +335,9 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig.from_sources(args.config, **fields)
     reports = run_experiment(config)
     for method, report in reports.items():
-        final = report.trace.objective[-1] if len(report.trace) else float("nan")
         print("%s: %d iterations, objective %.10g, %s"
-              % (method, report.iterations, final, report.termination))
+              % (method, report.iterations, report.trace.objective[-1],
+                 report.termination))
     return 0
 
 

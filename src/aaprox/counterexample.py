@@ -117,8 +117,13 @@ def run_counterexample(x0: float, n_cycles: int = 50) -> CycleReport:
 
     Uses the generic extrapolation engine with depth 1, no Tikhonov term,
     step 1/25, and cross-checks every iterate against the closed form,
-    warning when they drift apart by more than 1e-8.
+    warning when they drift apart by more than 1e-8. A non-finite x0 or a
+    negative n_cycles raises ValueError.
     """
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite, got %r" % x0)
+    if n_cycles < 0:
+        raise ValueError("n_cycles must be nonnegative, got %r" % n_cycles)
     if not BASIN[0] <= x0 <= BASIN[1]:
         warnings.warn("x0 = %g is outside [%g, %g]; the four-phase cycle "
                       "is only guaranteed inside" % (x0, *BASIN))

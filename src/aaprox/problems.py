@@ -225,16 +225,9 @@ class QuadraticLoss:
         return self.H @ (x - self.center)
 
 
-def logistic_loss(A, y, mu: float = 0.0) -> LogisticLoss:
-    return LogisticLoss(A, y, mu)
-
-
-def least_squares_loss(A, b, mu: float = 0.0) -> LeastSquaresLoss:
-    return LeastSquaresLoss(A, b, mu)
-
-
-def kl_loss(A, b) -> KlLoss:
-    return KlLoss(A, b)
+logistic_loss = LogisticLoss
+least_squares_loss = LeastSquaresLoss
+kl_loss = KlLoss
 
 
 def operator_norm_sq(A) -> float:
@@ -320,15 +313,16 @@ def nonneg_indicator() -> NonsmoothTerm:
                          kind="nonneg")
 
 
-def simplex_indicator(rtol: float = 1e-9) -> NonsmoothTerm:
-    """Indicator of the probability simplex.
+def simplex_indicator() -> NonsmoothTerm:
+    """Indicator of the probability simplex: 0 where x >= 0 and sum(x) is
+    within 1e-9 of 1, inf elsewhere.
 
     No Euclidean proximal map is attached; this term is meant for entropy
     kernel Bregman steps, where the map has a closed form.
     """
 
     def value(x):
-        if np.all(x >= 0.0) and abs(float(np.sum(x)) - 1.0) <= rtol:
+        if np.all(x >= 0.0) and abs(float(np.sum(x)) - 1.0) <= 1e-9:
             return 0.0
         return np.inf
 

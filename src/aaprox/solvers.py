@@ -25,7 +25,6 @@ __all__ = [
     "IterationTrace",
     "SolveReport",
     "descent_check",
-    "g_map",
     "pga_step",
     "run_aa_pga",
     "run_guarded_aa_pga",
@@ -77,16 +76,6 @@ def pga_step(problem: CompositeProblem, x: np.ndarray,
              gamma: float) -> np.ndarray:
     """One proximal gradient step prox_{gamma h}(x - gamma grad f(x))."""
     return problem.h.prox(x - gamma * problem.f.grad(x), gamma)
-
-
-def g_map(problem: CompositeProblem, y: np.ndarray, gamma: float) -> np.ndarray:
-    """The dual-variable fixed-point map: prox, then gradient step.
-
-    y* is a fixed point exactly when x* = prox_{gamma h}(y*) is stationary
-    for f + h.
-    """
-    x = problem.h.prox(y, gamma)
-    return x - gamma * problem.f.grad(x)
 
 
 def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
@@ -275,12 +264,12 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
         x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
         rn = float(np.linalg.norm(x_next - x)) / gamma
         x_prev, x = x, x_next
-        if not np.all(np.isfinite(x)):
-            termination = "degenerate"
-            trace.record(np.inf, rn, "plain", time.perf_counter() - start, x=x)
-            break
-        trace.record(problem.objective(x), rn, "plain",
+        finite = np.isfinite(x).all()
+        trace.record(problem.objective(x) if finite else np.inf, rn, "plain",
                      time.perf_counter() - start, x=x)
+        if not finite:
+            termination = "degenerate"
+            break
         if _stop(rn, x, tol):
             termination = "tol"
             break

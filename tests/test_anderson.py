@@ -190,19 +190,33 @@ class TestResidualHistory:
         with pytest.raises(ValueError):
             hist.combine(np.array([0.5, 0.5]))
 
-    def test_drop_oldest_and_clear(self):
+    def test_drop_oldest_to_empty(self):
         hist = ResidualHistory(m=2)
         hist.push(np.array([1.0]), np.array([1.0]))
         hist.push(np.array([2.0]), np.array([2.0]))
         hist.drop_oldest()
         assert_allclose(hist.residual_matrix(), [[2.0]])
-        hist.clear()
+        hist.drop_oldest()
         assert len(hist) == 0
         with pytest.raises(IndexError):
             hist.drop_oldest()
 
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ResidualHistory(-1)
+
 
 class TestQrWindow:
+    def test_zero_capacity_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            QrWindow(3, 0)
+
+    def test_rank_signal_on_empty_and_zero_windows(self):
+        win = QrWindow(3, 2)
+        assert not win.rank_deficient
+        win.append(np.zeros(3))  # ||R||_F = 0: no column has rank
+        assert win.rank_deficient
+
     def test_orthonormal_columns_give_identity_r(self):
         win = QrWindow(3, 2)
         win.append(np.array([1.0, 0.0, 0.0]))

@@ -170,6 +170,12 @@ class TestPolynomialKernel:
                 assert_allclose(k.conj_grad(y), y * (t_ref / s),
                                 rtol=1e-10, atol=1e-12)
 
+    def test_small_mirror_point_round_trips(self):
+        # ||y|| far below 1: the root test must be relative to ||y||
+        k = polynomial_kernel(1e-6)
+        y = 1e-12 * np.array([1.0, -2.0, 0.5])
+        assert_allclose(k.grad(k.conj_grad(y)), y, rtol=1e-14, atol=0.0)
+
     def test_zero_maps_to_zero(self):
         k = polynomial_kernel(1.5)
         assert_allclose(k.conj_grad(np.zeros(3)), np.zeros(3))

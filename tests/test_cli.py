@@ -375,6 +375,37 @@ class TestMain:
                   "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, fragment", [
+        ({"m": 2.5}, "m must be an integer"),
+        ({"max_iters": 2.5}, "max_iters must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"m": True}, "m must be an integer"),
+        ({"tol": "1e-6"}, "tol must be a number"),
+        ({"gamma": False}, "gamma must be a number"),
+        ({"problem": 5}, "problem must be a string"),
+        ({"data": 5}, "data must be a string"),
+        ({"out": 5}, "out must be a string"),
+        ({"csv_has_header": "no"}, "csv_has_header must be true or false"),
+        ({"synth": [30]}, "synth must be two integers"),
+        ({"synth": [30.7, 10.2]}, "synth must be two integers"),
+        ({"synth": "30,10"}, "synth must be two integers"),
+        ({"methods": "pga"}, "methods must be a list of strings"),
+        ({"methods": ["pga", 1]}, "methods must be a list of strings"),
+    ], ids=["m_float", "max_iters_float", "seed_str", "m_bool", "tol_str",
+            "gamma_bool", "problem_int", "data_int", "out_int", "header_str",
+            "synth_one", "synth_floats", "synth_str", "methods_str",
+            "methods_int_item"])
+    def test_json_fields_of_the_wrong_type_write_nothing(
+            self, tmp_path, monkeypatch, fields, fragment):
+        monkeypatch.chdir(tmp_path)  # where a relative "out" would land
+        config = {"problem": "quadratic", "methods": ["pga"], "max_iters": 5,
+                  "out": "o"}
+        config.update(fields)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        with pytest.raises(ValueError, match=fragment):
+            main(["run", "--config", "cfg.json"])
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

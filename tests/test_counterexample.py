@@ -161,6 +161,14 @@ class TestRunCounterexample:
         diverged = ["diverged" in m for m in messages[1:]]
         assert diverged == ([True] if x0 > BASIN[1] else [])
 
+    @pytest.mark.parametrize("x0, n_cycles, fragment", [
+        (float("nan"), 2, "x0 must be finite"),
+        (float("inf"), 2, "x0 must be finite"),
+        (2.1, -3, "n_cycles must be nonnegative")], ids=["nan", "inf", "neg"])
+    def test_bad_inputs_are_rejected(self, x0, n_cycles, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            run_counterexample(x0, n_cycles)
+
     def test_basin_interval(self):
         lo, hi = BASIN
         assert lo == 2.01 and hi == 246.98

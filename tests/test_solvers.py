@@ -32,7 +32,6 @@ from aaprox.problems import (
 from aaprox.solvers import (
     IterationTrace,
     descent_check,
-    g_map,
     pga_step,
     run_aa_pga,
     run_guarded_aa_pga,
@@ -70,13 +69,6 @@ def test_pga_step_matches_manual_composition():
     gamma = 0.05
     manual = prob.h.prox(x - gamma * prob.f.grad(x), gamma)
     assert_allclose(pga_step(prob, x, gamma), manual)
-
-
-def test_g_map_fixed_point_matches_minimizer():
-    # on the unconstrained quadratic the map's fixed point is the center
-    prob = quadratic_problem()
-    c = prob.f.center
-    assert_allclose(g_map(prob, c, 0.2), c)
 
 
 def test_descent_check_examples():
