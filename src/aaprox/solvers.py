@@ -13,6 +13,7 @@ row per iterate produced, and report how they stopped.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -126,6 +127,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
     step when it passes. The window is kept across rejections. A candidate
     that is not finite, or whose f raises DomainError, has f_test = inf.
+    The first row whose objective is not finite records inf and ends the
+    run as "degenerate".
     Guarded runs with kept iterates record x_plain on every row: None on
     the first, x on a later plain row.
     """
@@ -168,10 +171,11 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                             x_next, y, f_next, kind = (x_half, y_half, f_half,
                                                        "damped")
                 x = x_next
-        if np.isfinite(x).all():
-            f_curr = f.value(x) if f_next is None else f_next
-            objective = f_curr + h.value(x)
-        else:
+        if f_next is None:
+            f_next = f.value(x) if np.isfinite(x).all() else np.inf
+        f_curr = f_next
+        objective = f_curr + h.value(x) if math.isfinite(f_curr) else np.inf
+        if not math.isfinite(objective):
             termination, objective = "degenerate", np.inf
         elapsed = time.perf_counter() - start
         if keep_plain:
@@ -249,7 +253,8 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
 
     beta_1 = 0, so the first step is the plain proximal gradient step. The
     recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
-    a surrogate for the gradient mapping norm.
+    a surrogate for the gradient mapping norm. The first row whose objective
+    is not finite records inf and ends the run as "degenerate".
     """
     if gamma is None:
         gamma = 1.0 / problem.f.smoothness
@@ -264,8 +269,9 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
         x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
         rn = float(np.linalg.norm(x_next - x)) / gamma
         x_prev, x = x, x_next
-        finite = np.isfinite(x).all()
-        trace.record(problem.objective(x) if finite else np.inf, rn, "plain",
+        objective = problem.objective(x) if np.isfinite(x).all() else np.inf
+        finite = math.isfinite(objective)
+        trace.record(objective if finite else np.inf, rn, "plain",
                      time.perf_counter() - start, x=x)
         if not finite:
             termination = "degenerate"

@@ -101,6 +101,190 @@ class TestParseLibsvm:
         assert_allclose(back.b, b, rtol=0)
 
 
+
+class TestParseLibsvmRowChecks:
+    """Every row check keeps its message and its line, whichever part of
+    the reader meets the row first."""
+
+    @pytest.mark.parametrize("content,message", [
+        ("1 1:1:2\n", "line 1: bad feature token '1:1:2'"),
+        ("1 1:\n", "line 1: bad feature token '1:'"),
+        ("1 :3\n", "line 1: bad feature token ':3'"),
+        ("1:0 2:1\n", "line 1: bad label '1:0'"),
+        # as many tokens and colons as a good line, in the wrong places
+        ("1 1:2:3 4\n", "line 1: bad feature token '1:2:3'"),
+        ("1:2 3 4:5\n", "line 1: bad label '1:2'"),
+        ("1 1.5:2\n", "line 1: bad feature token '1.5:2'"),
+        ("1 1e1:2\n", "line 1: bad feature token '1e1:2'"),
+        ("1 1:1\n1 2:1e\n", "line 2: bad feature token '2:1e'"),
+        ("1 1:1\n1 2:1.2.3\n", "line 2: bad feature token '2:1.2.3'"),
+        # numpy reads this value, float() does not
+        ("1 1:nan(1)\n", "line 1: bad feature token '1:nan(1)'"),
+        ("1 1:1\n-1 1:2 0:1\n", "line 2: index 0 is not 1-based"),
+        ("\n\n1 1:1\n\n\nabc 1:1\n", "line 6: bad label 'abc'"),
+        # the first offending line wins, whatever check it fails
+        ("1 1:x\n1 3:1 2:1\n", "line 1: bad feature token '1:x'"),
+        ("1 3:1 2:1\n1 1:x\n", "line 1: index 2 does not increase"),
+    ])
+    def test_message_and_line(self, tmp_path, content, message):
+        p = tmp_path / "a.txt"
+        p.write_text(content)
+        with pytest.raises(ValueError) as info:
+            parse_libsvm(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("content,dense,labels", [
+        ("1 +1:2\n", [[2.0]], [1.0]),
+        ("1 1:1_0\n", [[10.0]], [1.0]),
+        ("2 +1:2 3:1_0\n-2 2:0.5\n", [[2.0, 0.0, 10.0], [0.0, 0.5, 0.0]],
+         [2.0, -2.0]),
+        ("nan 01:inf\n", [[np.inf]], [np.nan]),
+    ])
+    def test_rows_int_and_float_accept(self, tmp_path, content, dense,
+                                        labels):
+        p = tmp_path / "a.txt"
+        p.write_text(content)
+        data = parse_libsvm(p)
+        assert np.array_equal(data.A.toarray(), dense)
+        assert np.array_equal(data.b, labels, equal_nan=True)
+
+    def test_an_index_past_15_digits_is_exact(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("1 9007199254740993:1\n")
+        A = parse_libsvm(p).A
+        assert A.shape == (1, 9007199254740993)
+        assert A.indices.tolist() == [9007199254740992]
+
+    def test_only_the_flagged_lines_are_read_again(self, tmp_path,
+                                                  monkeypatch):
+        from aaprox import datasets
+
+        lines = ["%d %d:0.5 %d:1.5" % (i % 2, i + 1, i + 3)
+                 for i in range(50)]
+        lines[16] = "nan 17:0.5 19:1.5"
+        lines[30] = "1 +31:0.5 33:1_5"
+        p = tmp_path / "a.txt"
+        p.write_text("\n".join(lines) + "\n")
+        seen = []
+        original = datasets._check_row
+
+        def check_row(line, lineno):
+            seen.append(lineno)
+            return original(line, lineno)
+
+        monkeypatch.setattr(datasets, "_check_row", check_row)
+        data = parse_libsvm(p)
+        assert seen == [17, 31]
+        assert np.isnan(data.b[16]) and data.A[30, 32] == 15.0
+
+    def test_lines_the_numpy_pass_leaves_to_the_checker(self):
+        # each check is one row of the table, so it is tested whatever the
+        # installed numpy reads on its own
+        from aaprox.datasets import _scan_lines
+
+        table = [("1 1:2 3:4", False), ("", False), (" \t", False),
+                 ("-1", False), ("1 007:2", False),
+                 ("1:2 3 4:5", True),       # colon in the label
+                 ("1 1:2:3 4", True),       # two colons in one token
+                 ("1 :3 4:1.2.3", True),    # empty index
+                 ("1 1: 2:1.2.3", True),    # empty value
+                 ("1 1e1:2", True), ("1 +1:2", True),
+                 ("1 1234567890123456:2", True),  # 16 digits
+                 ("1 1:2 3", True), ("nan 1:2", True), ("1\x0b1:2", True),
+                 ("1 1:", True)]           # a colon that ends the text
+        raw = "\n".join(line for line, _ in table).encode()
+        a = np.frombuffer(raw, dtype=np.uint8)
+        _, _, odd = _scan_lines(raw, a, np.flatnonzero(a == ord("\n")))
+        assert odd.tolist() == [flag for _, flag in table]
+
+    def test_numbers_read_must_match_the_count(self):
+        from aaprox.datasets import _read_numbers
+
+        assert _read_numbers(b"1 2 3", 3).tolist() == [1.0, 2.0, 3.0]
+        assert _read_numbers(b"1 2 3", 4) is None
+        assert _read_numbers(b"1 2 3x", 3) is None
+        assert _read_numbers(b"  \n ", 0).size == 0
+
+    def test_crlf_and_tab_separated(self, tmp_path):
+        expected = [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]
+        for content in (b"+1 1:0.5 3:2\r\n-1 2:1\r\n",
+                        b"+1\t1:0.5\t3:2\n-1\t2:1\n"):
+            p = tmp_path / "a.txt"
+            p.write_bytes(content)
+            data = parse_libsvm(p)
+            assert np.array_equal(data.A.toarray(), expected)
+            assert np.array_equal(data.b, [1.0, -1.0])
+
+    def test_round_trip_is_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(3)
+        dense = sparse.random(500, 300, density=0.05, random_state=4).toarray()
+        dense[rng.choice(500, size=40, replace=False)] = 0.0  # empty rows
+        A = sparse.csr_matrix(dense)
+        A.data[:4] = [-0.0, 5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308]
+        b = rng.standard_normal(500) + 2.0
+        p = tmp_path / "rt.txt"
+        write_libsvm(DatasetMatrix(A, b), p)
+        back = parse_libsvm(p, n_features=300)
+        assert back.shape == A.shape
+        assert np.array_equal(back.A.data.view(np.int64),
+                              A.data.view(np.int64))
+        assert np.array_equal(back.A.indices, A.indices)
+        assert np.array_equal(back.A.indptr, A.indptr)
+        assert np.array_equal(back.b.view(np.int64), b.view(np.int64))
+
+    def test_equals_the_row_checker_on_every_line(self, tmp_path):
+        # lines the numpy pass takes mixed with lines only the checker
+        # reads; the checker run on every line is the reference
+        from aaprox.datasets import _check_row
+
+        rng = np.random.default_rng(6)
+        spellings = [
+            lambda j, v: "%d:%s" % (j, v),
+            lambda j, v: "+%d:%s" % (j, v),
+            lambda j, v: "000%d:%s" % (j, v),
+            lambda j, v: "%d:%s" % (j, v.replace(".", "_0.", 1)
+                                    if "." in v and "e" not in v else v),
+        ]
+        lines = []
+        for _ in range(300):
+            cols = np.sort(rng.choice(40, size=rng.integers(0, 6),
+                                      replace=False)) + 1
+            spell = spellings[rng.integers(len(spellings))]
+            label = ["%.17g" % rng.standard_normal(), "nan", "inf"][
+                rng.integers(3) if rng.random() < 0.1 else 0]
+            sep = [" ", "\t", "\x0b", " \xa0"][
+                rng.integers(4) if rng.random() < 0.2 else 0]
+            lines.append(sep.join([label] + [
+                spell(j, "%.17g" % rng.standard_normal()) for j in cols]))
+            if rng.random() < 0.05:
+                lines.append(" ")
+        text = "\n".join(lines) + "\n"
+        p = tmp_path / "mixed.txt"
+        p.write_text(text)
+        got = parse_libsvm(p, n_features=40)
+
+        rows = [row for n, line in enumerate(text.split("\n"), start=1)
+                if (row := _check_row(line, n)) is not None]
+        counts = [len(row[1]) for row in rows]
+        assert np.array_equal(got.A.indptr, np.cumsum([0] + counts))
+        assert np.array_equal(got.A.indices,
+                              [j - 1 for row in rows for j in row[1]])
+        assert np.array_equal(got.A.data.view(np.int64), np.array(
+            [v for row in rows for v in row[2]]).view(np.int64))
+        assert np.array_equal(got.b, [row[0] for row in rows],
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("content", ["1 1:0.5 3:2\n-1 2:1\n",
+                                         "1 +1:0.5 3:2\n-1\t2:1\n"])
+    def test_arrays_are_c_contiguous(self, tmp_path, content):
+        p = tmp_path / "a.txt"
+        p.write_text(content)
+        A = parse_libsvm(p).A
+        assert A.data.flags.c_contiguous
+        assert A.indices.flags.c_contiguous
+        assert A.indptr.flags.c_contiguous
+
 class TestLoadDenseCsv:
     def test_last_column_is_the_response(self, tmp_path):
         p = tmp_path / "d.csv"

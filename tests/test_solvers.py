@@ -314,7 +314,7 @@ class TestGuardCandidates:
                 assert np.array_equal(x, x_plain)
 
     def test_degenerate_row_keeps_its_plain_point(self, geometry):
-        # a step ten times too long diverges until the iterate overflows
+        # a step ten times too long diverges until the objective overflows
         prob = quadratic_problem(seed=21)
         with np.errstate(over="ignore", invalid="ignore"):
             guarded, _ = guarded_and_plain(geometry, prob, np.ones(prob.n),
@@ -324,7 +324,11 @@ class TestGuardCandidates:
         assert guarded.termination == "degenerate"
         plains = guarded.trace.aux["x_plain"]
         assert len(plains) == len(guarded.trace) == len(guarded.trace.iterates)
-        assert not np.all(np.isfinite(plains[-1]))
+        # the run stops on the first infinite objective, at a finite iterate
+        assert np.isfinite(guarded.trace.objective[:-1]).all()
+        assert guarded.trace.objective[-1] == np.inf
+        assert plains[-1] is guarded.trace.iterates[-1]
+        assert np.isfinite(plains[-1]).all()
 
 
 class CycleLoss:
@@ -554,13 +558,31 @@ class TestDampedRetry:
 
 
 def test_only_candidate_evaluations_are_quiet_on_overflow():
-    # the first step is plain, and its objective overflows in the open
+    # the first step is plain, and its residual norm overflows in the open
     prob = lasso_problem(seed=17)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = run_guarded_aa_pga(prob, np.full(prob.n, 1e200), max_iters=1)
     assert any("overflow" in str(w.message) for w in caught)
     assert not np.isfinite(rep.trace.objective[0])
+
+
+@pytest.mark.parametrize("driver,rows", [(run_nesterov_pga, 95),
+                                         (run_pga, 114)])
+def test_divergence_stops_at_the_first_non_finite_objective(driver, rows):
+    # a step 50 times too long: the loss overflows while the iterate is
+    # still finite, and would give nan objectives from then on
+    data = generate_nnls_instance(80, 40)
+    f = least_squares_loss(data.A, data.b)
+    prob = CompositeProblem(f, nonneg_indicator(), 40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = driver(prob, np.ones(40), gamma=50.0 / f.smoothness,
+                     max_iters=1000)
+    assert rep.termination == "degenerate"
+    assert rep.iterations == rows
+    objective = np.array(rep.trace.objective)
+    assert np.isfinite(objective[:-1]).all() and objective[-1] == np.inf
+    assert np.isfinite(rep.x).all()
 
 
 class TestRunNesterovPga:
