@@ -85,16 +85,17 @@ def _check_row(line: str, lineno: int):
     return label, indices, values
 
 
-def _scan_lines(raw: bytes, a: np.ndarray, newline: np.ndarray):
-    """Per line of the text raw, whose bytes are a: its number of tokens,
-    its number of colons, and whether the vectorized read leaves it to the
-    row checker.
+def _scan_lines(raw: bytes, newline: np.ndarray):
+    """Per line of the text raw, whose newlines sit at the positions
+    newline: its number of tokens, its number of colons, and whether the
+    vectorized read leaves it to the row checker.
 
     The read takes a line made of blanks, colons and number characters
     alone, whose first token has no colon and whose every later token has
     exactly one, with 1 to 15 digits before it and a value after it.
     Control bytes count as blanks here: their lines go to the checker.
     """
+    a = np.frombuffer(raw, dtype=np.uint8)
     n_lines = newline.size + 1
     edge = np.append(-1, np.flatnonzero(a <= 32))
     token = edge[np.append(np.diff(edge) > 1, edge[-1] + 1 < a.size)] + 1
@@ -114,7 +115,7 @@ def _scan_lines(raw: bytes, a: np.ndarray, newline: np.ndarray):
     bad = ((owner == first_token[colon_line]) | (width == 0)
            | (width > _INDEX_DIGITS) | (colon + 1 == a.size)
            | (np.take(a, colon + 1, mode="clip") <= 32))
-    # a second colon in a token has the first among its index digits
+    # digits alone before each colon, which rejects a token's second colon
     for j in range(1, min(int(width.max(initial=0)), _INDEX_DIGITS) + 1):
         byte = np.take(a, colon - j, mode="clip")
         bad |= (width >= j) & ((byte < ord("0")) | (byte > ord("9")))
@@ -160,10 +161,9 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     raw = text.encode("ascii", "replace")  # one byte per character
     if text.isascii():
         text = None  # raw holds the same characters
-    a = np.frombuffer(raw, dtype=np.uint8)
-    newline = np.flatnonzero(a == ord("\n"))
-    starts, ends = np.append(0, newline + 1), np.append(newline, a.size)
-    n_tokens, n_colons, odd = _scan_lines(raw, a, newline)
+    newline = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    starts, ends = np.append(0, newline + 1), np.append(newline, len(raw))
+    n_tokens, n_colons, odd = _scan_lines(raw, newline)
 
     fast = (n_tokens > 0) & ~odd  # the lines the numpy pass reads
     buf = raw.translate(_COLON_TO_BLANK)
@@ -225,10 +225,9 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     index -= 1
     data = np.append(data, [v for r in rows for v in r[2]])[take]
     A = sparse.csr_matrix((data, index, indptr), shape=(n_rows, n_cols))
-    y = labels
-    if set(np.unique(y)) <= {0.0, 1.0}:
-        y = 2.0 * y - 1.0
-    return DatasetMatrix(A, y)
+    if set(np.unique(labels)) <= {0.0, 1.0}:
+        labels = 2.0 * labels - 1.0
+    return DatasetMatrix(A, labels)
 
 
 def write_libsvm(data: DatasetMatrix, path) -> None:

@@ -193,8 +193,8 @@ class TestParseLibsvmRowChecks:
                  ("1 1:2 3", True), ("nan 1:2", True), ("1\x0b1:2", True),
                  ("1 1:", True)]           # a colon that ends the text
         raw = "\n".join(line for line, _ in table).encode()
-        a = np.frombuffer(raw, dtype=np.uint8)
-        _, _, odd = _scan_lines(raw, a, np.flatnonzero(a == ord("\n")))
+        newline = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        _, _, odd = _scan_lines(raw, newline)
         assert odd.tolist() == [flag for _, flag in table]
 
     def test_numbers_read_must_match_the_count(self):
