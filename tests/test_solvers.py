@@ -558,7 +558,7 @@ class TestDampedRetry:
 
 
 def test_only_candidate_evaluations_are_quiet_on_overflow():
-    # the first step is plain, and its residual norm overflows in the open
+    # the first step is plain, and its objective overflows in the open
     prob = lasso_problem(seed=17)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
