@@ -9,6 +9,7 @@ depth m = 0 the proposal is the plain fixed-point step.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,10 +47,11 @@ class AAConfig:
 
     m is the window depth (m = 0 disables extrapolation). reg_scale weights
     a Tikhonov term reg_scale * ||R||_F^2 * ||alpha||_2^2 added to the
-    coefficient problem. m_alpha bounds ||alpha||_1; when exceeded the
-    coefficients are reset to the pure fixed-point weights. The coefficients
-    solve through dense normal equations over the residual window;
-    use_qr_updates opts in to the incrementally updated QR window instead.
+    coefficient problem; it is finite and nonnegative. m_alpha > 1, which
+    may be inf, bounds ||alpha||_1; when exceeded the coefficients are reset
+    to the pure fixed-point weights. The coefficients solve through dense
+    normal equations over the residual window; use_qr_updates opts in to the
+    incrementally updated QR window instead. Other settings raise ValueError.
     """
 
     m: int
@@ -58,12 +60,15 @@ class AAConfig:
     use_qr_updates: bool = False
 
     def __post_init__(self):
+        if (isinstance(self.m, bool)
+                or not isinstance(self.m, numbers.Integral)):
+            raise ValueError("window depth m must be an integer")
         if self.m < 0:
             raise ValueError("window depth m must be nonnegative")
-        if self.reg_scale < 0:
-            raise ValueError("reg_scale must be nonnegative")
-        if math.isfinite(self.m_alpha) and self.m_alpha <= 1:
-            raise ValueError("a finite m_alpha must exceed 1")
+        if not 0 <= self.reg_scale < math.inf:
+            raise ValueError("reg_scale must be finite and nonnegative")
+        if not self.m_alpha > 1:
+            raise ValueError("m_alpha must exceed 1")
 
 
 class ResidualHistory:

@@ -38,9 +38,9 @@ class DatasetMatrix:
 
 
 # The vectorized LIBSVM read takes only lines made of blanks, colons and
-# these number characters; the row checker reads any other line, splitting
-# on any whitespace as str.split does and reading what float() and int()
-# accept.
+# these number characters; the row checker reads a file with any other
+# line, splitting on any whitespace as str.split does and reading what
+# float() and int() accept.
 _NUMBER_CHARS = b" \t\n:.+-eE0123456789"
 _UNREAD = np.ones(256, dtype=bool)
 _UNREAD[list(_NUMBER_CHARS)] = False
@@ -138,6 +138,41 @@ def _read_numbers(buf: bytes, count: int) -> np.ndarray | None:
     return nums if nums.size == count else None
 
 
+def _numpy_rows(raw: bytes, n_tokens: np.ndarray, n_colons: np.ndarray):
+    """Labels, pairs per row, indices and values read by one numpy pass
+    over the text raw, in which _scan_lines flagged no line; None where
+    numpy does not read exactly the expected count or an index does not
+    increase along its line."""
+    pairs = n_colons[n_tokens > 0]
+    nums = _read_numbers(raw.translate(_COLON_TO_BLANK),
+                         int(pairs.size + 2 * pairs.sum()))
+    if nums is None:
+        return None
+    label_at = np.cumsum(1 + 2 * pairs) - (1 + 2 * pairs)
+    labels = nums[label_at]
+    index, data = np.delete(nums, label_at).reshape(-1, 2).T
+    del nums
+    # the index checks of the row checker on every entry at once
+    prev = np.append(0.0, index[:-1])
+    prev[(np.cumsum(pairs) - pairs)[pairs > 0]] = 0.0
+    if (index <= prev).any():
+        return None
+    return labels, pairs, index, data
+
+
+def _checked_rows(text: str):
+    """Labels, pairs per row, indices and values of every line of text
+    read by the row checker, in order; raises at the first offending line.
+    The indices stay Python ints, so that one past int64 still meets the
+    n_features check."""
+    rows = [row for lineno, line in enumerate(text.split("\n"), start=1)
+            if (row := _check_row(line, lineno)) is not None]
+    return (np.array([r[0] for r in rows], dtype=float),
+            np.array([len(r[1]) for r in rows], dtype=int),
+            [j for r in rows for j in r[1]],
+            np.array([v for r in rows for v in r[2]], dtype=float))
+
+
 def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     """Read a LIBSVM text file into a CSR matrix and a label vector.
 
@@ -150,80 +185,39 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     Labels that are exactly 0 or 1 are remapped to -1/+1; other label
     values pass through unchanged.
 
-    The file is read once, and one numpy pass converts every number. Only
-    a line that this pass cannot take (a byte other than blanks, colons
-    and decimal number characters, a misplaced colon, an index that is not
-    1 to 15 digits) or that fails an index check is read again, alone and
-    token by token, and that reading decides its row or its error.
+    The file is read once, and one numpy pass converts every number. Where
+    that pass cannot take some line (a byte other than blanks, colons and
+    decimal number characters, a misplaced colon, an index that is not 1
+    to 15 digits), misreads a number or finds an index that does not
+    increase, the row checker reads the whole file again, line by line and
+    token by token, and decides every row or the first error.
     """
     with open(path) as fh:  # decodes, and turns \r\n and \r into \n
         text = fh.read()
     raw = text.encode("ascii", "replace")  # one byte per character
     if text.isascii():
         text = None  # raw holds the same characters
-    newline = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    starts, ends = np.append(0, newline + 1), np.append(newline, len(raw))
-    n_tokens, n_colons, odd = _scan_lines(raw, newline)
-
-    fast = (n_tokens > 0) & ~odd  # the lines the numpy pass reads
-    buf = raw.translate(_COLON_TO_BLANK)
-    if odd.any():  # blank out the lines left to the row checker
-        chars = bytearray(buf)
-        for i in np.flatnonzero(odd):
-            chars[starts[i]:ends[i]] = b" " * int(ends[i] - starts[i])
-        buf = bytes(chars)
-    nums = _read_numbers(buf, int(fast.sum() + 2 * n_colons[fast].sum()))
-    del buf
-    if nums is None:  # some token is not one number: check every line
-        odd |= fast
-        fast[:] = False
-        nums = np.empty(0)
-    fast_line = np.flatnonzero(fast)
-    pairs = n_colons[fast_line]
-    label_at = np.cumsum(1 + 2 * pairs) - (1 + 2 * pairs)
-    labels = nums[label_at]
-    index, data = np.delete(nums, label_at).reshape(-1, 2).T
-    del nums
-
-    # the index checks of the row checker on every entry at once; the
-    # checker raises on each line that fails one
-    first = np.cumsum(pairs) - pairs
-    prev = np.append(0.0, index[:-1])
-    prev[first[pairs > 0]] = 0.0
-    failed = np.searchsorted(first, np.flatnonzero(index <= prev), "right")
-    checked = {}
-    for i in np.union1d(np.flatnonzero(odd), fast_line[failed - 1]):
-        line = (raw[starts[i]:ends[i]].decode("ascii") if text is None
-                else text[starts[i]:ends[i]])
-        row = _check_row(line, int(i) + 1)
-        if row is not None:
-            checked[i] = row
+    n_tokens, n_colons, odd = _scan_lines(
+        raw, np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
+    rows = None if odd.any() else _numpy_rows(raw, n_tokens, n_colons)
+    if rows is None:
+        rows = _checked_rows(raw.decode("ascii") if text is None else text)
     del raw, text
-
-    # the checker's rows take their lines' places among the numpy pass's
-    rows = list(checked.values())
-    order = np.argsort(np.append(fast_line,
-                                 np.array(list(checked), dtype=int)))
-    labels = np.append(labels, [r[0] for r in rows])[order]
-    counts = np.append(pairs, np.array([len(r[1]) for r in rows], dtype=int))
-    first = (np.cumsum(counts) - counts)[order]
-    counts = counts[order]
-    indptr = np.append(0, np.cumsum(counts))
-    take = np.repeat(first - indptr[:-1], counts) + np.arange(indptr[-1])
-    slow_index = [j for r in rows for j in r[1]]
-    max_col = max(int(index.max(initial=0)), max(slow_index, default=0))
+    labels, pairs, index, data = rows
+    del rows
 
     n_rows = labels.size
     if n_rows == 0:
         raise ValueError("%s: no data rows" % path)
+    max_col = int(np.max(index, initial=0))
     n_cols = max_col if n_features is None else n_features
     if n_features is not None and max_col > n_features:
         raise ValueError("file has feature index %d > n_features %d"
                          % (max_col, n_features))
-    index = np.append(index.astype(np.int64),
-                      np.array(slow_index, dtype=np.int64))[take]
+    index = np.array(index, dtype=np.int64)
     index -= 1
-    data = np.append(data, [v for r in rows for v in r[2]])[take]
+    data = np.ascontiguousarray(data)
+    indptr = np.append(0, np.cumsum(pairs))
     A = sparse.csr_matrix((data, index, indptr), shape=(n_rows, n_cols))
     if set(np.unique(labels)) <= {0.0, 1.0}:
         labels = 2.0 * labels - 1.0

@@ -110,9 +110,10 @@ class LeastSquaresLoss:
     Near an exact fit the three terms of that value cancel. Whenever
     x^T Q x + 2 |c^T x| + b^T b exceeds 2^16 times their signed sum, which
     covers every negative sum, the value is taken from the residual
-    instead. A value from Q therefore loses at most 16 bits to
-    cancellation: its error is within about 2^16 times the rounding error
-    of its terms.
+    instead. The test scales the terms by 2^-16, not the sum by 2^16, so a
+    finite value never overflows in it. A value from Q therefore loses at
+    most 16 bits to cancellation: its error is within about 2^16 times the
+    rounding error of its terms.
 
     Sparse A, any other matrix-like A and wide dense A (n > M) take the
     residual route: r = A x - b with A x remembered for the last two points,
@@ -146,7 +147,8 @@ class LeastSquaresLoss:
             quad = np.dot(x, self._normal_product(x, Q))
             lin = np.dot(c, x)
             sq = quad - 2.0 * lin + bb
-            if quad + 2.0 * abs(lin) + bb <= 2.0 ** 16 * sq:
+            if (quad * 2.0 ** -16 + abs(lin) * 2.0 ** -15
+                    + bb * 2.0 ** -16 <= sq):
                 return float(sq / (2.0 * self.M) + ridge)
         r = self._resid(x)
         return float(np.dot(r, r) / (2.0 * self.M) + ridge)

@@ -35,7 +35,11 @@ __all__ = [
 
 
 class IterationTrace:
-    """Per-iteration log: objective, residual norm, step kind, elapsed time."""
+    """Per-iteration log: objective, residual norm, step kind, elapsed time.
+
+    With keep_iterates, each row given an x keeps it in iterates and the
+    driver's plain step point, or None, in x_plain.
+    """
 
     def __init__(self, keep_iterates: bool = False):
         self.objective: list[float] = []
@@ -44,21 +48,20 @@ class IterationTrace:
         self.elapsed: list[float] = []
         self.keep_iterates = keep_iterates
         self.iterates: list[np.ndarray] = []
-        self.aux: dict[str, list] = {}
+        self.x_plain: list[np.ndarray | None] = []
 
     def __len__(self) -> int:
         return len(self.objective)
 
     def record(self, objective: float, residual: float, step_kind: str,
-               elapsed: float, x=None, **aux) -> None:
+               elapsed: float, x=None, x_plain=None) -> None:
         self.objective.append(float(objective))
         self.residual.append(float(residual))
         self.step_kind.append(step_kind)
         self.elapsed.append(float(elapsed))
         if self.keep_iterates and x is not None:
             self.iterates.append(x)
-        for key, val in aux.items():
-            self.aux.setdefault(key, []).append(val)
+            self.x_plain.append(x_plain)
 
 
 @dataclass
@@ -129,14 +132,13 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     that is not finite, or whose f raises DomainError, has f_test = inf.
     The first row whose objective is not finite records inf and ends the
     run as "degenerate".
-    Guarded runs with kept iterates record x_plain on every row: None on
-    the first, x on a later plain row.
+    With kept iterates, x_plain is recorded on every row: None on the first
+    and on an unguarded "AA" row, x on a later plain row.
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
-    keep_plain = keep_iterates and guard is not None
 
     for k in range(max(max_iters, 1)):  # the first step is always taken
         grad = f.grad(x)
@@ -178,10 +180,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
         if not math.isfinite(objective):
             termination, objective = "degenerate", np.inf
         elapsed = time.perf_counter() - start
-        if keep_plain:
-            trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
-        else:
-            trace.record(objective, rn, kind, elapsed, x=x)
+        trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
         if termination == "degenerate":
             break
 

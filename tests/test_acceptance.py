@@ -263,7 +263,7 @@ def test_criterion_06_guard_reevaluation(benchmarks):
                 violations += 0 if ok else 1
         else:
             bp = inst["problem"]
-            plains = rep.trace.aux["x_plain"]
+            plains = rep.trace.x_plain
             for i, kind in enumerate(kinds):
                 if i == 0 or kind != "AA":
                     continue

@@ -1,6 +1,8 @@
 """Unit tests for the extrapolation engine: coefficient solves against
 independent oracles, sliding-window QR bookkeeping, and the driver loop."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -514,6 +516,18 @@ class TestRunAnderson:
         g = lambda x: (calls.append(1), 0.99 * x)[1]
         run_anderson(g, np.ones(3), AAConfig(m=2), max_iters=7)
         assert len(calls) == 7
+
+
+@pytest.mark.parametrize("settings", [
+    dict(m=2.5), dict(m=True), dict(m=2, reg_scale=math.nan),
+    dict(m=2, reg_scale=math.inf), dict(m=2, m_alpha=math.nan),
+], ids=["fractional_m", "bool_m", "nan_reg_scale", "inf_reg_scale",
+        "nan_m_alpha"])
+def test_config_rejects_settings_that_would_fail_later(settings):
+    # each was accepted and then turned extrapolation off silently, or
+    # raised mid-run
+    with pytest.raises(ValueError):
+        AAConfig(**settings)
 
 
 def test_config_validation():

@@ -446,7 +446,7 @@ class TestRunGuardedAaBpg:
         rep = run_guarded_aa_bpg(prob, y0, AAConfig(m=4), max_iters=400,
                                  keep_iterates=True)
         xs = rep.trace.iterates
-        plains = rep.trace.aux["x_plain"]
+        plains = rep.trace.x_plain
         checked = 0
         for k in range(1, len(xs)):
             if rep.trace.step_kind[k] != "AA":

@@ -155,16 +155,12 @@ class TestParseLibsvmRowChecks:
         assert A.shape == (1, 9007199254740993)
         assert A.indices.tolist() == [9007199254740992]
 
-    def test_only_the_flagged_lines_are_read_again(self, tmp_path,
-                                                  monkeypatch):
+    def test_a_clean_file_never_reaches_the_row_checker(self, tmp_path,
+                                                        monkeypatch):
         from aaprox import datasets
 
         lines = ["%d %d:0.5 %d:1.5" % (i % 2, i + 1, i + 3)
                  for i in range(50)]
-        lines[16] = "nan 17:0.5 19:1.5"
-        lines[30] = "1 +31:0.5 33:1_5"
-        p = tmp_path / "a.txt"
-        p.write_text("\n".join(lines) + "\n")
         seen = []
         original = datasets._check_row
 
@@ -173,9 +169,23 @@ class TestParseLibsvmRowChecks:
             return original(line, lineno)
 
         monkeypatch.setattr(datasets, "_check_row", check_row)
+        p = tmp_path / "a.txt"
+        p.write_text("\n".join(lines))
+        clean = parse_libsvm(p)
+        assert seen == []
+
+        # one line the numpy pass cannot take sends every line to the checker
+        lines[16] = "nan 17:0.5 19:1.5"
+        p.write_text("\n".join(lines))
         data = parse_libsvm(p)
-        assert seen == [17, 31]
-        assert np.isnan(data.b[16]) and data.A[30, 32] == 15.0
+        assert seen == list(range(1, 51))
+        rows = [original(line, n) for n, line in enumerate(lines, start=1)]
+        assert np.array_equal(data.b, [row[0] for row in rows],
+                              equal_nan=True)
+        assert np.array_equal(data.A.indices,
+                              [j - 1 for row in rows for j in row[1]])
+        assert np.array_equal(data.A.data, [v for row in rows for v in row[2]])
+        assert np.array_equal(data.A.indptr, clean.A.indptr)
 
     def test_lines_the_numpy_pass_leaves_to_the_checker(self):
         # each check is one row of the table, so it is tested whatever the

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from aaprox.anderson import AAConfig
+from aaprox.datasets import generate_nnls_instance
 from aaprox.problems import (
     CompositeProblem,
     DomainError,
@@ -183,6 +184,19 @@ class TestLeastSquaresLoss:
                 grad = A.T @ r / M + 2 * mu * x
                 assert np.all(np.abs(f.grad(x) - grad)
                               <= 64 * eps * (scale + 2 * mu * np.abs(x)))
+
+    def test_large_finite_value_does_not_overflow(self):
+        # the cancellation test compares scaled terms: 2^16 times the value
+        # would overflow here although the value itself is finite
+        data = generate_nnls_instance(80, 40, 0)
+        f = least_squares_loss(data.A, data.b)
+        x = np.full(40, 1e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = f.value(x)
+        r = data.A @ x - data.b
+        assert np.isfinite(value)
+        assert_allclose(value, r @ r / 160, rtol=1e-12)
 
     @pytest.mark.parametrize("shape, fmt, products", [
         ((12, 5), "dense", 0), ((5, 12), "dense", 1), ((12, 5), "csr", 1)],

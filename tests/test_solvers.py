@@ -302,7 +302,7 @@ class TestGuardCandidates:
         guarded, _ = guarded_and_plain(geometry, prob, np.zeros(prob.n),
                                        1.0 / prob.f.smoothness, AAConfig(m=4),
                                        max_iters=80, keep_iterates=True)
-        plains = guarded.trace.aux["x_plain"]
+        plains = guarded.trace.x_plain
         assert len(plains) == len(guarded.trace) == 80
         assert plains[0] is None
         kinds = guarded.trace.step_kind
@@ -322,7 +322,7 @@ class TestGuardCandidates:
                                            AAConfig(m=0), max_iters=5000,
                                            keep_iterates=True)
         assert guarded.termination == "degenerate"
-        plains = guarded.trace.aux["x_plain"]
+        plains = guarded.trace.x_plain
         assert len(plains) == len(guarded.trace) == len(guarded.trace.iterates)
         # the run stops on the first infinite objective, at a finite iterate
         assert np.isfinite(guarded.trace.objective[:-1]).all()
@@ -475,7 +475,7 @@ def plain_passes(prob, rep, k):
     """Whether row k's plain point passes descent_check from row k - 1."""
     x_prev = rep.trace.iterates[k - 1]
     grad = prob.f.grad(x_prev)
-    return descent_check(prob.f.value(rep.trace.aux["x_plain"][k]),
+    return descent_check(prob.f.value(rep.trace.x_plain[k]),
                          prob.f.value(x_prev), float(np.dot(grad, grad)),
                          rep.gamma)
 
@@ -497,7 +497,7 @@ class TestDampedRetry:
             assert descent_check(prob.f.value(xs[k]), prob.f.value(xs[k - 1]),
                                  float(np.dot(grad, grad)), rep.gamma)
             assert plain_passes(prob, rep, k)
-            assert not np.array_equal(xs[k], rep.trace.aux["x_plain"][k])
+            assert not np.array_equal(xs[k], rep.trace.x_plain[k])
 
     @pytest.mark.parametrize("case", [cycle_case, nonneg_lasso_case])
     def test_bregman_guard_never_damps(self, case):
@@ -611,7 +611,7 @@ class TestIterationTrace:
         assert len(tr) == 2
         assert tr.objective == [1.5, 1.2]
         assert tr.step_kind == ["AA", "fallback"]
-        assert len(tr.aux["x_plain"]) == 2
+        assert len(tr.x_plain) == 2
 
     def test_iterates_dropped_when_not_kept(self):
         tr = IterationTrace(keep_iterates=False)
