@@ -74,7 +74,11 @@ class AAConfig:
 class ResidualHistory:
     """Sliding window over the last m + 1 (map value, residual) pairs.
 
-    Index 0 is the newest pair. Pushing at capacity evicts the oldest.
+    Index 0 is the newest pair. Pushing at capacity evicts the oldest. Each
+    pushed 1-D array is kept, uncopied, as an (n, 1) column view, so one
+    np.concatenate builds the newest-first (n, p) matrix with the values and
+    the C-ordered layout np.column_stack gives. newest() returns the pushed
+    map value itself.
     """
 
     def __init__(self, m: int):
@@ -83,13 +87,15 @@ class ResidualHistory:
         self.capacity = m + 1
         self._g: deque[np.ndarray] = deque(maxlen=self.capacity)
         self._r: deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._newest: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._g)
 
     def push(self, g_val: np.ndarray, residual: np.ndarray) -> None:
-        self._g.appendleft(g_val)
-        self._r.appendleft(residual)
+        self._g.appendleft(g_val[:, None])
+        self._r.appendleft(residual[:, None])
+        self._newest = g_val
 
     def drop_oldest(self) -> None:
         if not self._g:
@@ -98,16 +104,18 @@ class ResidualHistory:
         self._r.pop()
 
     def newest(self) -> np.ndarray:
-        return self._g[0]
+        if not self._g:
+            raise IndexError("history is empty")
+        return self._newest
 
     def residual_matrix(self) -> np.ndarray:
         """Residuals as columns, newest first."""
-        return np.column_stack(self._r)
+        return np.concatenate(self._r, axis=1)
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         if len(alpha) != len(self._g):
             raise ValueError("coefficient length does not match history length")
-        return np.column_stack(self._g) @ alpha
+        return np.concatenate(self._g, axis=1) @ alpha
 
 
 def solve_coefficients(residuals: np.ndarray,
@@ -124,10 +132,12 @@ def solve_coefficients(residuals: np.ndarray,
 
     which stays well posed when the window is rank deficient but the
     constrained minimizer is still unique (then the plain normal solve is
-    singular even though the problem is not). A degenerate system
-    (factorization failure, nonfinite solution, or a multiplier beyond
-    1e300, which is sum(z) below 1e-300 in the normalized form) yields the
-    pure fixed-point coefficients with the degenerate flag set.
+    singular even though the problem is not). The bordered matrix is filled
+    in place: the Gram block is R.T @ R and lam goes on its diagonal only.
+    A degenerate system (factorization failure, nonfinite solution, or a
+    multiplier beyond 1e300, which is sum(z) below 1e-300 in the normalized
+    form) yields the pure fixed-point coefficients with the degenerate flag
+    set.
     """
     R = np.atleast_2d(np.asarray(residuals, dtype=float))
     p = R.shape[1]
@@ -135,23 +145,23 @@ def solve_coefficients(residuals: np.ndarray,
         # the constraint forces alpha = [1] no matter what R contains
         return ExtrapolationCoefficients(np.ones(1))
     fro_sq = float(np.sum(R * R))
-    if not np.isfinite(fro_sq) or fro_sq == 0.0:
+    if not math.isfinite(fro_sq) or fro_sq == 0.0:
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
-    lam = reg_scale * fro_sq
-    kkt = np.zeros((p + 1, p + 1))
-    kkt[:p, :p] = R.T @ R + lam * np.eye(p)
-    kkt[:p, p] = 1.0
-    kkt[p, :p] = 1.0
+    kkt = np.ones((p + 1, p + 1))
+    kkt[p, p] = 0.0
+    kkt[:p, :p] = R.T @ R
+    # every (p + 2)-th entry of the flat matrix is on the diagonal
+    kkt.reshape(-1)[:p * (p + 2):p + 2] += reg_scale * fro_sq
     rhs = np.zeros(p + 1)
     rhs[p] = 1.0
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
-    alpha, nu = sol[:p], float(sol[p])
+    alpha = sol[:p]
     total = float(alpha.sum())
-    if (not np.all(np.isfinite(alpha)) or abs(nu) >= 1e300
-            or not np.isfinite(total) or abs(total) < 1e-300):
+    if (not np.isfinite(sol).all() or abs(sol[p]) >= 1e300
+            or not 1e-300 <= abs(total) < math.inf):
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
     return ExtrapolationCoefficients(alpha / total)
 
@@ -287,7 +297,10 @@ class AndersonEngine:
     retry on a window shortened by its oldest entry before settling for the
     pure fixed-point weights. degenerate_count counts every degenerate
     solve, the retry's included, so a rescued solve counts once and an
-    unrescued one twice.
+    unrescued one twice. The ||alpha||_1 bound is only summed for a finite
+    m_alpha. Weights and mixed points equal, bit for bit, those of the
+    textbook route: np.column_stack, R^T R + lam I, np.linalg.solve and the
+    stacked map values times alpha.
     """
 
     def __init__(self, n: int, config: AAConfig):
@@ -326,6 +339,9 @@ class AndersonEngine:
                 self.window.drop_oldest()
             coeffs = self._solve()
             self.degenerate_count += coeffs.degenerate
+        if self.config.m_alpha == math.inf:
+            # alpha holds no NaN, so ||alpha||_1 <= inf always holds
+            return coeffs
         return enforce_coefficient_bound(coeffs, self.config.m_alpha)
 
     def extrapolate(self) -> tuple[np.ndarray, ExtrapolationCoefficients]:

@@ -299,7 +299,7 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:
         raise ValueError("empty box")
 
     def value(x):
-        return 0.0 if np.all(x >= lo) and np.all(x <= hi) else np.inf
+        return 0.0 if (x >= lo).all() and (x <= hi).all() else np.inf
 
     return NonsmoothTerm(value=value,
                          prox=lambda y, gamma: project_box(y, lo, hi),
@@ -308,7 +308,7 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:
 
 def nonneg_indicator() -> NonsmoothTerm:
     def value(x):
-        return 0.0 if np.all(x >= 0.0) else np.inf
+        return 0.0 if (x >= 0.0).all() else np.inf
 
     return NonsmoothTerm(value=value,
                          prox=lambda y, gamma: project_nonneg(y),
@@ -324,7 +324,7 @@ def simplex_indicator() -> NonsmoothTerm:
     """
 
     def value(x):
-        if np.all(x >= 0.0) and abs(float(np.sum(x)) - 1.0) <= 1e-9:
+        if (x >= 0.0).all() and abs(float(np.sum(x)) - 1.0) <= 1e-9:
             return 0.0
         return np.inf
 

@@ -250,7 +250,8 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
                      keep_iterates: bool = False) -> SolveReport:
     """Proximal gradient with momentum beta_k = (k - 1) / (k + 2).
 
-    beta_1 = 0, so the first step is the plain proximal gradient step. The
+    beta_1 = 0, so the first step is the plain proximal gradient step; it
+    is taken even when max_iters < 1, as in the other drivers. The
     recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
     a surrogate for the gradient mapping norm. The first row whose objective
     is not finite records inf and ends the run as "degenerate".
@@ -263,7 +264,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    for k in range(1, max_iters + 1):
+    for k in range(1, max(max_iters, 1) + 1):  # the first step is always taken
         z = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
         x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
         rn = float(np.linalg.norm(x_next - x)) / gamma

@@ -167,6 +167,10 @@ def test_coefficient_bound_resets_to_plain_step():
     edge = enforce_coefficient_bound(
         ExtrapolationCoefficients(np.array([3.0, -2.0])), 5.0)
     assert_allclose(edge.alpha, [3.0, -2.0])
+    # a NaN weight is never within the bound, not even an infinite one
+    nan = enforce_coefficient_bound(
+        ExtrapolationCoefficients(np.array([np.nan, 0.5])), math.inf)
+    assert np.array_equal(nan.alpha, [1.0, 0.0])
 
 
 class TestResidualHistory:
@@ -206,6 +210,33 @@ class TestResidualHistory:
     def test_negative_depth_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ResidualHistory(-1)
+
+    def test_residual_matrix_is_a_column_stacked_snapshot(self):
+        rng = np.random.default_rng(26)
+        pushed = [rng.standard_normal(4) for _ in range(4)]
+        hist = ResidualHistory(m=2)
+        for r in pushed[:2]:
+            hist.push(-r, r)
+        R = hist.residual_matrix()
+        assert np.array_equal(R, np.column_stack(pushed[1::-1]))
+        assert R.flags.c_contiguous
+        for r in pushed[2:]:  # the second push evicts the oldest
+            hist.push(-r, r)
+        assert np.array_equal(R, np.column_stack(pushed[1::-1]))
+        assert np.array_equal(hist.residual_matrix(),
+                              np.column_stack(pushed[:0:-1]))
+
+    def test_newest_is_the_pushed_map_value(self):
+        hist = ResidualHistory(m=1)
+        pushed = [np.full(2, float(k)) for k in range(3)]
+        for g_val in pushed:
+            hist.push(g_val, np.zeros(2))
+        assert hist.newest() is pushed[-1]  # pushed[0] was evicted
+        hist.drop_oldest()
+        assert hist.newest() is pushed[-1]
+        hist.drop_oldest()
+        with pytest.raises(IndexError):
+            hist.newest()
 
 
 class TestQrWindow:
@@ -435,6 +466,97 @@ class TestAndersonEngine:
                 assert np.max(np.abs(c1.alpha - c2.alpha)) <= 1e-8
             assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1, np.linalg.norm(x1))
             y1, y2 = x1, x2
+
+
+def textbook_coefficients(R, reg_scale):
+    """The bordered solve written out as in solve_coefficients' docstring;
+    None where that docstring calls the system degenerate."""
+    p = R.shape[1]
+    if p == 1:
+        return np.ones(1)
+    fro_sq = np.sum(R * R)
+    if not np.isfinite(fro_sq) or fro_sq == 0.0:
+        return None
+    lam = reg_scale * fro_sq
+    kkt = np.zeros((p + 1, p + 1))
+    kkt[:p, :p] = R.T @ R + lam * np.eye(p)
+    kkt[:p, p] = 1.0
+    kkt[p, :p] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, np.eye(p + 1)[p])
+    except np.linalg.LinAlgError:
+        return None
+    total = np.sum(sol[:p])
+    if (not np.all(np.isfinite(sol)) or abs(sol[p]) >= 1e300
+            or not 1e-300 <= abs(total) < np.inf):
+        return None
+    return sol[:p] / total
+
+
+class TextbookEngine:
+    """AndersonEngine's documented behaviour on plain lists, newest first."""
+
+    def __init__(self, config):
+        self.config = config
+        self.gs, self.rs = [], []
+        self.degenerate = 0
+
+    def push(self, g_val, y):
+        self.gs.insert(0, g_val)
+        self.rs.insert(0, g_val - y)
+        del self.gs[self.config.m + 1:], self.rs[self.config.m + 1:]
+
+    def extrapolate(self):
+        alpha = textbook_coefficients(np.column_stack(self.rs),
+                                      self.config.reg_scale)
+        if alpha is None and len(self.rs) > 1:
+            self.degenerate += 1
+            self.gs.pop()
+            self.rs.pop()
+            alpha = textbook_coefficients(np.column_stack(self.rs),
+                                          self.config.reg_scale)
+        if alpha is None:
+            self.degenerate += 1
+        if alpha is None or np.sum(np.abs(alpha)) > self.config.m_alpha:
+            alpha = np.eye(len(self.gs))[0]
+        if alpha[0] == 1.0 and not alpha[1:].any():
+            return self.gs[0], alpha
+        return np.column_stack(self.gs) @ alpha, alpha
+
+
+@pytest.mark.parametrize("n", [3, 50])
+@pytest.mark.parametrize("config", [
+    AAConfig(m=0), AAConfig(m=1), AAConfig(m=5),
+    AAConfig(m=5, m_alpha=10.0),
+    # duplicate pushes make unregularized windows singular
+    AAConfig(m=2, reg_scale=0.0),
+], ids=["m0", "m1", "m5", "m_alpha", "degenerate"])
+def test_engine_floats_match_a_textbook_reference(n, config):
+    # residuals near one common direction give weights of mixed sign
+    rng = np.random.default_rng(27 + n)
+    drift = rng.standard_normal(n)
+    eng, ref = AndersonEngine(n, config), TextbookEngine(config)
+    mixed = resets = 0
+    for k in range(16):
+        if k not in (6, 7, 12):  # pushes 7 and 8 repeat push 6
+            y = rng.standard_normal(n)
+            g_val = y + drift + 0.1 * rng.standard_normal(n)
+        eng.push(g_val, y)
+        ref.push(g_val, y)
+        x_next, coeffs = eng.extrapolate()
+        x_ref, alpha_ref = ref.extrapolate()
+        assert len(eng) == len(ref.gs)
+        assert np.array_equal(coeffs.alpha, alpha_ref)
+        assert np.array_equal(x_next, x_ref)
+        assert (x_next is g_val) == (x_ref is g_val)
+        mixed += x_next is not g_val
+        resets += len(eng) > 1 and x_next is g_val
+    assert eng.degenerate_count == ref.degenerate
+    assert (mixed > 0) == (config.m > 0)
+    if config.reg_scale == 0.0:
+        assert eng.degenerate_count > 0
+    if config.m_alpha < math.inf:
+        assert resets > 0
 
 
 class TestRunAnderson:

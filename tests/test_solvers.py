@@ -1,6 +1,7 @@
 """Proximal gradient drivers: steps, guards, traces, and stopping."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -583,6 +584,25 @@ def test_divergence_stops_at_the_first_non_finite_objective(driver, rows):
     objective = np.array(rep.trace.objective)
     assert np.isfinite(objective[:-1]).all() and objective[-1] == np.inf
     assert np.isfinite(rep.x).all()
+
+
+@pytest.mark.parametrize("driver", [run_pga, run_nesterov_pga, run_aa_pga,
+                                    run_guarded_aa_pga, run_bpg,
+                                    run_guarded_aa_bpg])
+def test_a_zero_budget_still_takes_the_first_step(driver):
+    prob = lasso_problem(seed=19)
+    x0 = np.ones(prob.n)
+    gamma = 1.0 / prob.f.smoothness
+    if driver in (run_bpg, run_guarded_aa_bpg):
+        # the energy kernel's mirror map is the identity, so x0 is also y0
+        run = partial(driver, BregmanProblem(energy_kernel(), prob.f, prob.h,
+                                             gamma, prob.n), x0)
+    else:
+        run = partial(driver, prob, x0, gamma)
+    rep, one = run(max_iters=0), run(max_iters=1)
+    assert rep.trace.step_kind == ["plain"]
+    assert rep.trace.objective == one.trace.objective
+    assert np.array_equal(rep.x, one.x)
 
 
 class TestRunNesterovPga:
