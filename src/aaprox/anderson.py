@@ -144,7 +144,7 @@ def solve_coefficients(residuals: np.ndarray,
     if p == 1:
         # the constraint forces alpha = [1] no matter what R contains
         return ExtrapolationCoefficients(np.ones(1))
-    fro_sq = float(np.sum(R * R))
+    fro_sq = float((R * R).sum())
     if not math.isfinite(fro_sq) or fro_sq == 0.0:
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
     kkt = np.ones((p + 1, p + 1))
@@ -169,7 +169,7 @@ def solve_coefficients(residuals: np.ndarray,
 def enforce_coefficient_bound(coeffs: ExtrapolationCoefficients,
                               m_alpha: float) -> ExtrapolationCoefficients:
     """Reset to the pure fixed-point weights when ||alpha||_1 > m_alpha."""
-    if np.sum(np.abs(coeffs.alpha)) <= m_alpha:
+    if np.abs(coeffs.alpha).sum() <= m_alpha:
         return coeffs
     return ExtrapolationCoefficients(_pure_fixed_point(len(coeffs.alpha)),
                                      degenerate=coeffs.degenerate)
@@ -354,12 +354,18 @@ class AndersonEngine:
         return self.history.combine(alpha), coeffs
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float array, the square root of v.dot(v) that
+    np.linalg.norm(v) also takes: the same float, inf and nan included."""
+    return math.sqrt(v.dot(v))
+
+
 def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
     """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
     residual_norm > tol > 0, the one case where the answer depends on it."""
     if residual_norm <= tol:
         return True
-    return tol > 0.0 and residual_norm <= tol * float(np.linalg.norm(g))
+    return tol > 0.0 and residual_norm <= tol * _norm(g)
 
 
 @dataclass
@@ -393,7 +399,7 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
             termination = "degenerate"
             break
         g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
-        rn = float(np.linalg.norm(engine.push(g_val, x)))
+        rn = _norm(engine.push(g_val, x))
         residual_norms.append(rn)
         if k and _stop(rn, g_val, tol):
             termination = "tol"

@@ -73,6 +73,10 @@ def energy_kernel() -> Kernel:
 
 
 def _xlogx(x):
+    """x log x elementwise with 0 log 0 = 0; the zero mask is only built
+    where some entry is not positive."""
+    if (x > 0).all():
+        return x * np.log(x)
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
@@ -84,13 +88,13 @@ def shannon_kernel() -> Kernel:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
+        if (x < 0).any():
             raise DomainError("shannon kernel needs x >= 0")
-        return float(np.sum(_xlogx(x)))
+        return float(_xlogx(x).sum())
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if (x <= 0).any():
             raise DomainError("shannon gradient needs x > 0")
         return 1.0 + np.log(x)
 
@@ -115,19 +119,19 @@ def burg_kernel() -> Kernel:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if (x <= 0).any():
             raise DomainError("burg kernel needs x > 0")
-        return -float(np.sum(np.log(x)))
+        return -float(np.log(x).sum())
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if (x <= 0).any():
             raise DomainError("burg gradient needs x > 0")
         return -1.0 / x
 
     def conj_grad(y):
         y = np.asarray(y, dtype=float)
-        if np.any(y >= 0):
+        if (y >= 0).any():
             raise DomainError("burg conjugate gradient needs y < 0")
         return -1.0 / y
 
@@ -139,13 +143,13 @@ def fermi_dirac_kernel() -> Kernel:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0) or np.any(x > 1):
+        if (x < 0).any() or (x > 1).any():
             raise DomainError("fermi-dirac kernel needs 0 <= x <= 1")
-        return float(np.sum(_xlogx(x)) + np.sum(_xlogx(1.0 - x)))
+        return float(_xlogx(x).sum() + _xlogx(1.0 - x).sum())
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0) or np.any(x >= 1):
+        if (x <= 0).any() or (x >= 1).any():
             raise DomainError("fermi-dirac gradient needs 0 < x < 1")
         return np.log(x / (1.0 - x))
 
@@ -164,13 +168,13 @@ def hellinger_kernel() -> Kernel:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > 1):
+        if (np.abs(x) > 1).any():
             raise DomainError("hellinger kernel needs |x| <= 1")
-        return -float(np.sum(np.sqrt(1.0 - x * x)))
+        return -float(np.sqrt(1.0 - x * x).sum())
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) >= 1):
+        if (np.abs(x) >= 1).any():
             raise DomainError("hellinger gradient needs |x| < 1")
         return x / np.sqrt(1.0 - x * x)
 
@@ -260,13 +264,13 @@ def bregman_prox(h: NonsmoothTerm, kernel: Kernel, gamma: float,
         return h.prox(u, gamma)
     if kernel.name == "shannon":
         if h.kind == "l1":
-            if np.any(u <= 0):
+            if (u <= 0).any():
                 raise DomainError("shannon proximal map needs u > 0")
             return u * np.exp(-gamma * h.params["lam"])
         if h.kind == "simplex":
-            if np.any(u <= 0):
+            if (u <= 0).any():
                 raise DomainError("shannon proximal map needs u > 0")
-            return u / float(np.sum(u))
+            return u / float(u.sum())
     raise UnsupportedProxError(
         "no closed-form Bregman proximal map for kernel %r with term %r"
         % (kernel.name, h.kind))

@@ -12,7 +12,8 @@ it forms its normal matrix A^T A once and needs only the n x n product
 A^T A x per point. Callers must not mutate iterate arrays in place. What
 does not depend on the point is worked out at construction: the KL loss
 finds its live rows (those not identically zero) once, so value, gradient
-and domain check run on the live rows alone.
+and domain check run on the live rows alone. The KL loss remembers the pair
+(A x, log(A x / b)) per point, so the logarithm too is taken once per point.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ def _product(x, A):
     return np.asarray(A @ x).ravel()
 
 
-def _positive_product(x, A):
+def _kl_point(x, A, b):
+    """(A x, log(A x / b)), the pair KlLoss's value and gradient share;
+    DomainError unless every entry of A x is positive."""
     u = np.asarray(A @ x).ravel()
-    if np.any(u <= 0.0):
+    if (u <= 0.0).any():
         raise DomainError("A x must be positive on every nonzero row")
-    return u
+    return u, np.log(u / b)
 
 
 class LogisticLoss:
@@ -87,7 +90,7 @@ class LogisticLoss:
 
     def value(self, x) -> float:
         t = self._margins(x)
-        return float(np.mean(np.logaddexp(0.0, t)) + self.mu * np.dot(x, x))
+        return float(np.logaddexp(0.0, t).mean() + self.mu * np.dot(x, x))
 
     def grad(self, x) -> np.ndarray:
         t = self._margins(x)
@@ -174,7 +177,13 @@ class KlLoss:
 
     The live rows, those not identically zero, are found at construction;
     each zero row contributes the constant b_i, summed once into a target
-    mass. When every row is live, A and b are used as given.
+    mass. When every row is live, A and b are used as given. The pair
+    (A x, log(A x / b)) on the live rows is remembered for the last two
+    points, so value and gradient at one point share one product with A,
+    one domain check and one logarithm:
+
+        value(x) = sum(u * log(u / b) - u + b) + mass,
+        grad(x)  = A^T log(u / b),   u = A x.
     """
 
     def __init__(self, A, b):
@@ -196,14 +205,15 @@ class KlLoss:
                  else A[live])
             b = b[live]
         self._live_A, self._live_b = A, b
-        self._product = _IdentityMemo(_positive_product)
+        self._point = _IdentityMemo(_kl_point)
 
     def value(self, x) -> float:
-        u, b = self._product(x, self._live_A), self._live_b
-        return float(np.sum(u * np.log(u / b) - u + b) + self._zero_row_mass)
+        b = self._live_b
+        u, ratio = self._point(x, self._live_A, b)
+        return float((u * ratio - u + b).sum() + self._zero_row_mass)
 
     def grad(self, x) -> np.ndarray:
-        ratio = np.log(self._product(x, self._live_A) / self._live_b)
+        _, ratio = self._point(x, self._live_A, self._live_b)
         return np.asarray(self._live_A.T @ ratio).ravel()
 
 
@@ -287,7 +297,7 @@ def l1_term(lam: float) -> NonsmoothTerm:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return NonsmoothTerm(
-        value=lambda x: lam * float(np.sum(np.abs(x))),
+        value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda y, gamma: prox_l1(y, lam * gamma),
         kind="l1",
         params={"lam": lam},
@@ -324,7 +334,7 @@ def simplex_indicator() -> NonsmoothTerm:
     """
 
     def value(x):
-        if (x >= 0.0).all() and abs(float(np.sum(x)) - 1.0) <= 1e-9:
+        if (x >= 0.0).all() and abs(float(x.sum()) - 1.0) <= 1e-9:
             return 0.0
         return np.inf
 

@@ -8,7 +8,9 @@ plain step, one candidate halfway between the two is tried before falling
 back; a step taken there is recorded as "damped".
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
 fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
-row per iterate produced, and report how they stopped.
+row per iterate produced, and report how they stopped. Each run ignores
+floating-point overflow and invalid operations: a run whose objective
+overflows ends as "degenerate" with an inf row instead of warning.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anderson import AAConfig, AndersonEngine, _stop
+from .anderson import AAConfig, AndersonEngine, _norm, _stop
 from .problems import CompositeProblem, DomainError
 
 __all__ = [
@@ -96,14 +98,13 @@ def _descent_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
 def _value_or_inf(f, x) -> float:
     """f.value(x), or inf where x is not finite or f raises DomainError.
 
-    Overflow and invalid operations inside f are not warned about: the
-    guard rejects the inf or nan they produce like any other failed
-    candidate.
+    Called inside the loop's errstate, so overflow and invalid operations
+    inside f are not warned about: the guard rejects the inf or nan they
+    produce like any other failed candidate.
     """
     if np.isfinite(x).all():
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return f.value(x)
+            return f.value(x)
         except DomainError:
             pass
     return np.inf
@@ -131,7 +132,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     step when it passes. The window is kept across rejections. A candidate
     that is not finite, or whose f raises DomainError, has f_test = inf.
     The first row whose objective is not finite records inf and ends the
-    run as "degenerate".
+    run as "degenerate". The loop runs under one np.errstate that ignores
+    overflow and invalid operations, so a run that overflows is reported
+    as "degenerate", not warned about.
     With kept iterates, x_plain is recorded on every row: None on the first
     and on an unguarded "AA" row, x on a later plain row.
     """
@@ -140,49 +143,52 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    for k in range(max(max_iters, 1)):  # the first step is always taken
-        grad = f.grad(x)
-        g = mirror(x) - gamma * grad
-        rn = float(np.linalg.norm(g - y if engine is None
-                                  else engine.push(g, y)))
-        if k and _stop(rn, g, tol):
-            termination = "tol"
-            break
-        x_plain, f_next, kind = None, None, "plain"
-        y_ext = g if engine is None else engine.extrapolate()[0]
-        if y_ext is g:
-            y, x = g, to_primal(g, gamma)
-            x_plain = x if k else None
-        elif guard is None:
-            y, x, kind = y_ext, to_primal(y_ext, gamma), "AA"
-        else:
-            x_plain = to_primal(g, gamma)
-            x_test = to_primal(y_ext, gamma)
-            f_test = _value_or_inf(f, x_test)
-            if guard(f_test, f_curr, grad, x_plain, x, gamma):
-                x, y, f_next, kind = x_test, y_ext, f_test, "AA"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max(max_iters, 1)):  # the first step is always taken
+            grad = f.grad(x)
+            g = mirror(x) - gamma * grad
+            rn = _norm(g - y if engine is None else engine.push(g, y))
+            if k and _stop(rn, g, tol):
+                termination = "tol"
+                break
+            x_plain, f_next, kind = None, None, "plain"
+            y_ext = g if engine is None else engine.extrapolate()[0]
+            if y_ext is g:
+                y, x = g, to_primal(g, gamma)
+                x_plain = x if k else None
+            elif guard is None:
+                y, x, kind = y_ext, to_primal(y_ext, gamma), "AA"
             else:
-                x_next, y, kind = x_plain, g, "fallback"
-                if bracketed and np.isfinite(x_plain).all():
-                    f_next = f.value(x_plain)  # the fallback needs it anyway
-                    if guard(f_next, f_curr, grad, x_plain, x, gamma):
-                        y_half = g + 0.5 * (y_ext - g)
-                        x_half = to_primal(y_half, gamma)
-                        f_half = _value_or_inf(f, x_half)
-                        if guard(f_half, f_curr, grad, x_plain, x, gamma):
-                            x_next, y, f_next, kind = (x_half, y_half, f_half,
-                                                       "damped")
-                x = x_next
-        if f_next is None:
-            f_next = f.value(x) if np.isfinite(x).all() else np.inf
-        f_curr = f_next
-        objective = f_curr + h.value(x) if math.isfinite(f_curr) else np.inf
-        if not math.isfinite(objective):
-            termination, objective = "degenerate", np.inf
-        elapsed = time.perf_counter() - start
-        trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
-        if termination == "degenerate":
-            break
+                x_plain = to_primal(g, gamma)
+                x_test = to_primal(y_ext, gamma)
+                f_test = _value_or_inf(f, x_test)
+                if guard(f_test, f_curr, grad, x_plain, x, gamma):
+                    x, y, f_next, kind = x_test, y_ext, f_test, "AA"
+                else:
+                    x_next, y, kind = x_plain, g, "fallback"
+                    if bracketed and np.isfinite(x_plain).all():
+                        # the fallback needs this value anyway
+                        f_next = f.value(x_plain)
+                        if guard(f_next, f_curr, grad, x_plain, x, gamma):
+                            y_half = g + 0.5 * (y_ext - g)
+                            x_half = to_primal(y_half, gamma)
+                            f_half = _value_or_inf(f, x_half)
+                            if guard(f_half, f_curr, grad, x_plain, x,
+                                     gamma):
+                                x_next, y, f_next, kind = (
+                                    x_half, y_half, f_half, "damped")
+                    x = x_next
+            if f_next is None:
+                f_next = f.value(x) if np.isfinite(x).all() else np.inf
+            f_curr = f_next
+            objective = (f_curr + h.value(x) if math.isfinite(f_curr)
+                         else np.inf)
+            if not math.isfinite(objective):
+                termination, objective = "degenerate", np.inf
+            elapsed = time.perf_counter() - start
+            trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
+            if termination == "degenerate":
+                break
 
     return SolveReport(x, trace, termination, gamma)
 
@@ -254,7 +260,9 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     is taken even when max_iters < 1, as in the other drivers. The
     recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
     a surrogate for the gradient mapping norm. The first row whose objective
-    is not finite records inf and ends the run as "degenerate".
+    is not finite records inf and ends the run as "degenerate"; the loop
+    ignores overflow and invalid operations, so such a run is reported, not
+    warned about.
     """
     if gamma is None:
         gamma = 1.0 / problem.f.smoothness
@@ -264,20 +272,23 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    for k in range(1, max(max_iters, 1) + 1):  # the first step is always taken
-        z = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
-        x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
-        rn = float(np.linalg.norm(x_next - x)) / gamma
-        x_prev, x = x, x_next
-        objective = problem.objective(x) if np.isfinite(x).all() else np.inf
-        finite = math.isfinite(objective)
-        trace.record(objective if finite else np.inf, rn, "plain",
-                     time.perf_counter() - start, x=x)
-        if not finite:
-            termination = "degenerate"
-            break
-        if _stop(rn, x, tol):
-            termination = "tol"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the first step is always taken
+        for k in range(1, max(max_iters, 1) + 1):
+            z = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
+            x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
+            rn = _norm(x_next - x) / gamma
+            x_prev, x = x, x_next
+            objective = (problem.objective(x) if np.isfinite(x).all()
+                         else np.inf)
+            finite = math.isfinite(objective)
+            trace.record(objective if finite else np.inf, rn, "plain",
+                         time.perf_counter() - start, x=x)
+            if not finite:
+                termination = "degenerate"
+                break
+            if _stop(rn, x, tol):
+                termination = "tol"
+                break
 
     return SolveReport(x, trace, termination, gamma)

@@ -13,6 +13,7 @@ from aaprox.anderson import (
     ExtrapolationCoefficients,
     QrWindow,
     ResidualHistory,
+    _norm,
     enforce_coefficient_bound,
     run_anderson,
     solve_coefficients,
@@ -51,6 +52,32 @@ def constrained_lstsq_reference(R, reg_scale):
         b = -(R @ e0)
     beta, *_ = np.linalg.lstsq(A, b, rcond=None)
     return e0 + N @ beta
+
+
+def _vector(case):
+    v = np.random.default_rng(40).standard_normal(50)
+    if case == "zero":
+        v[:] = 0.0
+    elif case == "huge":
+        v *= 1e200  # the sum of squares overflows to inf
+    elif case == "tiny":
+        v *= 1e-170  # the squares underflow
+    elif case == "inf":
+        v[11] = -np.inf
+    elif case == "nan":
+        v[11] = np.nan
+    elif case == "inf_and_nan":
+        v[[3, 11]] = np.inf, np.nan
+    return v
+
+
+@pytest.mark.parametrize("case", ["finite", "zero", "huge", "tiny", "inf",
+                                  "nan", "inf_and_nan"])
+def test_residual_norm_is_numpys_norm_bit_for_bit(case):
+    v = _vector(case)
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = _norm(v), float(np.linalg.norm(v))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_single_column_is_plain_step():

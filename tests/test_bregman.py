@@ -107,6 +107,29 @@ class TestKernelDomains:
             k.grad(np.array([0.0]))
         assert_allclose(k.conj_grad(np.array([1.0])), [1.0])
 
+    def test_shannon_value_on_a_positive_point_is_the_plain_sum(self):
+        x = np.random.default_rng(31).uniform(0.05, 5.0, 200)
+        assert shannon_kernel().value(x) == float(np.sum(x * np.log(x)))
+
+    def test_shannon_value_with_exact_zeros_is_the_masked_sum(self):
+        x = np.random.default_rng(32).uniform(0.05, 5.0, 200)
+        x[::7] = 0.0
+        pos = x > 0
+        terms = np.zeros_like(x)
+        terms[pos] = x[pos] * np.log(x[pos])  # 0 log 0 = 0
+        assert shannon_kernel().value(x) == float(np.sum(terms))
+        assert shannon_kernel().value(np.zeros(5)) == 0.0
+
+    def test_shannon_domain_checks_hold_on_long_points(self):
+        k = shannon_kernel()
+        x = np.linspace(0.5, 2.0, 100)
+        x[37] = -1e-300
+        with pytest.raises(DomainError):
+            k.value(x)
+        x[37] = 0.0
+        with pytest.raises(DomainError):
+            k.grad(x)
+
     def test_burg(self):
         k = burg_kernel()
         with pytest.raises(DomainError):

@@ -304,6 +304,51 @@ class TestKlLoss:
         f = kl_loss(A, np.ones(2))
         assert f.smoothness == 3.5
 
+    @pytest.mark.parametrize("case", ["all_live", "zero_rows", "csr"])
+    def test_value_and_gradient_equal_the_textbook_formula(self, case):
+        # bit for bit: sharing log(A x / b) between the two changes no float
+        rng = np.random.default_rng(13)
+        A = rng.random((40, 6))
+        if case == "zero_rows":
+            A[[3, 17, 18]] = 0.0
+        b = rng.random(40) + 0.5
+        mat = sparse.csr_matrix(A) if case == "csr" else A
+        live = A.sum(axis=1) != 0.0
+        live_A = mat[live] if case == "zero_rows" else mat
+        live_b, mass = b[live], np.sum(b[~live])
+        f = kl_loss(mat, b)
+        x = rng.random(6) + 0.5
+        u = np.asarray(live_A @ x).ravel()
+        expected = {
+            "value": float(np.sum(u * np.log(u / live_b) - u + live_b)
+                           + mass),
+            "grad": np.asarray(live_A.T @ np.log(u / live_b)).ravel(),
+        }
+        for order in (("value", "grad"), ("grad", "value")):
+            point = x.copy()  # a fresh object, so the memo starts empty
+            for name in order:
+                assert np.array_equal(getattr(f, name)(point), expected[name])
+
+    def test_value_then_gradient_make_one_forward_product(self):
+        rng = np.random.default_rng(14)
+        A = CountingMatrix(rng.random((9, 4)))
+        f = kl_loss(A, rng.random(9) + 0.5)
+        x = rng.random(4) + 0.5
+        f.value(x)
+        f.grad(x)
+        assert A.forward == 1
+
+    @pytest.mark.parametrize("first", ["value", "grad"])
+    @pytest.mark.parametrize("x0", [0.0, -0.5])
+    def test_non_positive_product_on_a_live_row_raises(self, first, x0):
+        # (A x)_0 = x0 <= 0 on a live row; the zero row is not checked
+        A = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 1.0]])
+        f = kl_loss(A, np.ones(3))
+        x = np.array([x0, 1.0])
+        for name in (first, {"value": "grad", "grad": "value"}[first]):
+            with pytest.raises(DomainError):
+                getattr(f, name)(x)
+
 
 class TestQuadraticLoss:
     def test_value_grad_and_default_smoothness(self):

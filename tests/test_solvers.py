@@ -331,6 +331,20 @@ class TestGuardCandidates:
         assert plains[-1] is guarded.trace.iterates[-1]
         assert np.isfinite(plains[-1]).all()
 
+    def test_degenerate_row_is_reached_without_a_warning(self, geometry):
+        # the run above with no errstate of the caller's
+        prob = quadratic_problem(seed=21)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            guarded, plain = guarded_and_plain(geometry, prob,
+                                               np.ones(prob.n),
+                                               10.0 / prob.f.smoothness,
+                                               AAConfig(m=0), max_iters=5000)
+        assert caught == []
+        for rep in (guarded, plain):
+            assert rep.termination == "degenerate"
+            assert rep.trace.objective[-1] == np.inf
+
 
 class CycleLoss:
     """The cycling counterexample as a 1-d smooth loss."""
@@ -558,14 +572,16 @@ class TestDampedRetry:
             (CompositeProblem(f, base.h, base.n), x0, gamma, cfg), products)
 
 
-def test_only_candidate_evaluations_are_quiet_on_overflow():
-    # the first step is plain, and its objective overflows in the open
+def test_an_overflowing_first_step_ends_the_run_quietly():
+    # the first step is plain, and its objective overflows: the run reports
+    # it as degenerate instead of warning
     prob = lasso_problem(seed=17)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = run_guarded_aa_pga(prob, np.full(prob.n, 1e200), max_iters=1)
-    assert any("overflow" in str(w.message) for w in caught)
-    assert not np.isfinite(rep.trace.objective[0])
+    assert caught == []
+    assert rep.termination == "degenerate"
+    assert rep.trace.objective == [np.inf]
 
 
 @pytest.mark.parametrize("driver,rows", [(run_nesterov_pga, 95),
@@ -584,6 +600,24 @@ def test_divergence_stops_at_the_first_non_finite_objective(driver, rows):
     objective = np.array(rep.trace.objective)
     assert np.isfinite(objective[:-1]).all() and objective[-1] == np.inf
     assert np.isfinite(rep.x).all()
+
+
+@pytest.mark.parametrize("driver,rows", [(run_nesterov_pga, 95),
+                                         (run_pga, 114)])
+def test_divergence_is_reported_without_a_warning(driver, rows):
+    # the divergence above with no errstate of the caller's: the driver's
+    # own keeps every row quiet, the overflowing last one included
+    data = generate_nnls_instance(80, 40)
+    f = least_squares_loss(data.A, data.b)
+    prob = CompositeProblem(f, nonneg_indicator(), 40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = driver(prob, np.ones(40), gamma=50.0 / f.smoothness,
+                     max_iters=1000)
+    assert caught == []
+    assert rep.termination == "degenerate"
+    assert rep.iterations == rows
+    assert rep.trace.objective[-1] == np.inf
 
 
 @pytest.mark.parametrize("driver", [run_pga, run_nesterov_pga, run_aa_pga,
