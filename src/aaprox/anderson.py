@@ -385,7 +385,10 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
     Each step moves to the engine's proposal, so the first is the plain step
     x_1 = g(x_0). From the second residual on, stops when ||g(x_k) - x_k||
     <= tol * max(1, ||g(x_k)||); also after max_iters map evaluations, or
-    as "degenerate" at a non-finite iterate, where g is not evaluated.
+    as "degenerate" at a non-finite iterate, where g is not evaluated. The
+    loop runs under one np.errstate that ignores overflow and invalid
+    operations, so a run that overflows ends "degenerate" instead of
+    warning; a residual too large to square records the norm inf.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     engine = AndersonEngine(x.size, config)
@@ -394,19 +397,20 @@ def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
     residual_norms: list[float] = []
     termination = "max_iters"
 
-    for k in range(max(max_iters, 1)):
-        if not np.isfinite(x).all():
-            termination = "degenerate"
-            break
-        g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
-        rn = _norm(engine.push(g_val, x))
-        residual_norms.append(rn)
-        if k and _stop(rn, g_val, tol):
-            termination = "tol"
-            break
-        x, coeffs = engine.extrapolate()
-        alphas.append(coeffs.alpha)
-        xs.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max(max_iters, 1)):
+            if not np.isfinite(x).all():
+                termination = "degenerate"
+                break
+            g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
+            rn = _norm(engine.push(g_val, x))
+            residual_norms.append(rn)
+            if k and _stop(rn, g_val, tol):
+                termination = "tol"
+                break
+            x, coeffs = engine.extrapolate()
+            alphas.append(coeffs.alpha)
+            xs.append(x)
 
     return FixedPointReport(np.asarray(xs), np.asarray(residual_norms),
                             alphas, termination)

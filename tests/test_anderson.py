@@ -2,6 +2,7 @@
 independent oracles, sliding-window QR bookkeeping, and the driver loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,17 @@ class TestRunAnderson:
         g = lambda x: (calls.append(1), 0.99 * x)[1]
         run_anderson(g, np.ones(3), AAConfig(m=2), max_iters=7)
         assert len(calls) == 7
+
+    def test_an_overflowing_run_ends_degenerate_without_a_warning(self):
+        # the residual norm overflows some 50 rows before the iterate does;
+        # the run's own errstate keeps both quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_anderson(lambda x: 1000.0 * x, np.ones(3),
+                               AAConfig(m=0), max_iters=200)
+        assert rep.termination == "degenerate"
+        assert len(rep.residual_norms) == 103
+        assert rep.residual_norms[-1] == np.inf
 
 
 @pytest.mark.parametrize("settings", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.special import expit
 
 from aaprox.anderson import AAConfig
 from aaprox.datasets import generate_nnls_instance
@@ -135,6 +136,68 @@ class TestLogisticLoss:
             f = logistic_loss(A, np.ones(20), mu=mu)
             assert_allclose(f.smoothness, top / (4 * 20) + 2 * mu,
                             rtol=1e-12)
+
+
+def logistic_textbook(A, y, mu, x):
+    """Value and gradient of LogisticLoss through logaddexp and expit."""
+    t = -y * (A @ x)
+    value = np.logaddexp(0.0, t).mean() + mu * np.dot(x, x)
+    grad = A.T @ (-y * expit(t)) / len(y) + 2.0 * mu * x
+    return value, grad
+
+
+class TestLogisticOracle:
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    @pytest.mark.parametrize("grad_first", [False, True])
+    def test_matches_the_textbook_formulas(self, fmt, mu, grad_first):
+        rng = np.random.default_rng(12)
+        A = 3.0 * rng.standard_normal((60, 8))
+        A[rng.random(A.shape) < 0.5] = 0.0
+        y = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+        f = logistic_loss(A if fmt == "dense" else sparse.csr_matrix(A), y,
+                          mu=mu, smoothness=1.0)
+        for x in (rng.standard_normal(8), np.zeros(8)):
+            if grad_first:
+                grad, value = f.grad(x), f.value(x)
+            else:
+                value, grad = f.value(x), f.grad(x)
+            ref_value, ref_grad = logistic_textbook(A, y, mu, x)
+            assert_allclose(value, ref_value, rtol=1e-14, atol=0)
+            assert_allclose(grad, ref_grad, rtol=1e-14, atol=0)
+
+    def test_extreme_margins_are_finite_and_quiet(self):
+        # with y = 1 and x = -1 the margins t = -y * (A x) are A's column
+        t = np.array([0.0, 36.9, -36.9, 745.0, -745.0, 800.0, -800.0,
+                      2000.0, -2000.0])
+        A, y, x = t[:, None], np.ones(t.size), np.array([-1.0])
+        for mu in (0.0, 0.1):
+            f = logistic_loss(A, y, mu=mu, smoothness=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, grad = f.value(x), f.grad(x)
+            assert np.isfinite(value) and np.isfinite(grad).all()
+            ref_value, ref_grad = logistic_textbook(A, y, mu, x)
+            assert_allclose(value, ref_value, rtol=1e-14)
+            assert_allclose(grad, ref_grad, rtol=1e-14)
+
+    def test_value_and_grad_share_one_product_per_point(self):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((10, 3))
+        y = np.where(rng.random(10) < 0.5, -1.0, 1.0)
+        x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
+        A = CountingMatrix(data)
+        f = LogisticLoss(A, y, smoothness=1.0)
+        f.value(x1)
+        f.grad(x1)
+        assert A.forward == 1
+        # with one other point evaluated in between, x1 is still remembered
+        A = CountingMatrix(data)
+        f = LogisticLoss(A, y, smoothness=1.0)
+        f.value(x1)
+        f.value(x2)
+        f.grad(x1)
+        assert A.forward == 2
 
 
 class TestLeastSquaresLoss:
