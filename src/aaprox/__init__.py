@@ -1,6 +1,15 @@
-"""Anderson-accelerated proximal gradient and Bregman proximal gradient."""
+"""Anderson-accelerated proximal gradient and Bregman proximal gradient.
 
-from . import _threads  # noqa: F401  (thread defaults before numpy loads BLAS)
+AAPROX_THREADS caps the numeric thread pools (default 1, for deterministic
+runs). The caps are set below, before any submodule imports numpy; once a
+BLAS library is initialized the environment is ignored.
+"""
+
+import os as _os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    _os.environ.setdefault(_var, _os.environ.get("AAPROX_THREADS", "1"))
 
 from .anderson import (AAConfig, AndersonEngine, ExtrapolationCoefficients,
                        FixedPointReport, QrWindow, ResidualHistory,
@@ -15,8 +24,8 @@ from .problems import (CompositeProblem, DomainError, KlLoss,
                        LeastSquaresLoss, LogisticLoss, NonsmoothTerm,
                        QuadraticLoss, box_indicator, kl_loss, l1_term,
                        least_squares_loss, logistic_loss, nonneg_indicator,
-                       operator_norm_sq, project_box, project_nonneg,
-                       prox_l1, simplex_indicator, zero_term)
+                       operator_norm_sq, prox_l1, simplex_indicator,
+                       zero_term)
 from .solvers import (IterationTrace, SolveReport, descent_check, pga_step,
                       run_aa_pga, run_guarded_aa_pga, run_nesterov_pga,
                       run_pga)

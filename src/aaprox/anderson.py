@@ -243,10 +243,6 @@ class QrWindow:
         p = self.width
         if p == 0:
             raise IndexError("window is empty")
-        if p == 1:
-            self.q = np.zeros((self.n, 0))
-            self.r = np.zeros((0, 0))
-            return
         h = self.r[:, 1:].copy()  # upper Hessenberg after deleting column 0
         q = self.q.copy()
         for j in range(p - 1):

@@ -100,7 +100,8 @@ class ExperimentConfig:
                 raise ValueError("%s must be finite, got %r" % (name, value))
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive, got %r" % self.gamma)
-        for name, low in (("m", 0), ("max_iters", 1), ("tol", 0)):
+        for name, low in (("m", 0), ("max_iters", 1), ("tol", 0),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r"
                                  % (name, low, getattr(self, name)))

@@ -9,6 +9,7 @@ in the seed.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ _UNREAD = np.ones(256, dtype=bool)
 _UNREAD[list(_NUMBER_CHARS)] = False
 _COLON_TO_BLANK = bytes.maketrans(b":", b" ")
 _INDEX_DIGITS = 15  # a wider index may reach 2^53, where float64 rounds
+_INDEX_MAX = 2**63 - 1
 
 
 def _check_row(line: str, lineno: int):
@@ -53,8 +55,8 @@ def _check_row(line: str, lineno: int):
     (label, indices, values).
 
     Raises ValueError naming the line at its first token that is not a
-    label or an index:value pair, or whose index is below 1 or does not
-    increase.
+    label or an index:value pair, or whose index is below 1, does not fit
+    in int64 or does not increase.
     """
     parts = line.split()
     if not parts:
@@ -77,6 +79,9 @@ def _check_row(line: str, lineno: int):
         if idx < 1:
             raise ValueError(
                 "line %d: index %d is not 1-based" % (lineno, idx))
+        if idx > _INDEX_MAX:
+            raise ValueError(
+                "line %d: index %d does not fit in int64" % (lineno, idx))
         if indices and idx <= indices[-1]:
             raise ValueError(
                 "line %d: index %d does not increase" % (lineno, idx))
@@ -126,8 +131,6 @@ def _scan_lines(raw: bytes, newline: np.ndarray):
 def _read_numbers(buf: bytes, count: int) -> np.ndarray | None:
     """The count numbers of a blank-separated text, or None where numpy
     does not read exactly count whole numbers from it."""
-    if not count:
-        return np.empty(0)  # numpy reads a blank text as [-1.0]
     with warnings.catch_warnings():
         # numpy 1.x warns at a token it cannot read and returns the rest
         warnings.simplefilter("error", DeprecationWarning)
@@ -162,15 +165,17 @@ def _numpy_rows(raw: bytes, n_tokens: np.ndarray, n_colons: np.ndarray):
 
 def _checked_rows(text: str):
     """Labels, pairs per row, indices and values of every line of text
-    read by the row checker, in order; raises at the first offending line.
-    The indices stay Python ints, so that one past int64 still meets the
-    n_features check."""
-    rows = [row for lineno, line in enumerate(text.split("\n"), start=1)
-            if (row := _check_row(line, lineno)) is not None]
-    return (np.array([r[0] for r in rows], dtype=float),
-            np.array([len(r[1]) for r in rows], dtype=int),
-            [j for r in rows for j in r[1]],
-            np.array([v for r in rows for v in r[2]], dtype=float))
+    read by the row checker, in order; raises at the first offending line."""
+    labels, pairs, index, data = array("d"), array("q"), array("q"), array("d")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        row = _check_row(line, lineno)
+        if row is not None:
+            labels.append(row[0])
+            pairs.append(len(row[1]))
+            index.extend(row[1])
+            data.extend(row[2])
+    return (np.frombuffer(labels), np.frombuffer(pairs, dtype=np.int64),
+            np.frombuffer(index, dtype=np.int64), np.frombuffer(data))
 
 
 def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
@@ -181,7 +186,8 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     float() reads; an index is anything int() reads, at least 1 and
     strictly increasing along its line. Raises ValueError naming the first
     offending line on a bad label, a bad index:value token, an index below
-    1 or one that does not increase, and on a file with no data rows.
+    1, past int64 or one that does not increase, and on a file with no data
+    rows.
     Labels that are exactly 0 or 1 are remapped to -1/+1; other label
     values pass through unchanged.
 

@@ -294,14 +294,6 @@ def prox_l1(y: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
 
 
-def project_box(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.clip(y, lo, hi)
-
-
-def project_nonneg(y: np.ndarray) -> np.ndarray:
-    return np.maximum(y, 0.0)
-
-
 @dataclass
 class NonsmoothTerm:
     """A nonsmooth term h with its scaled proximal map.
@@ -339,7 +331,7 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:
         return 0.0 if (x >= lo).all() and (x <= hi).all() else np.inf
 
     return NonsmoothTerm(value=value,
-                         prox=lambda y, gamma: project_box(y, lo, hi),
+                         prox=lambda y, gamma: np.clip(y, lo, hi),
                          kind="box", params={"lo": lo, "hi": hi})
 
 
@@ -348,7 +340,7 @@ def nonneg_indicator() -> NonsmoothTerm:
         return 0.0 if (x >= 0.0).all() else np.inf
 
     return NonsmoothTerm(value=value,
-                         prox=lambda y, gamma: project_nonneg(y),
+                         prox=lambda y, gamma: np.maximum(y, 0.0),
                          kind="nonneg")
 
 

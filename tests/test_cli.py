@@ -355,10 +355,13 @@ class TestMain:
 
     def test_rejected_settings_write_nothing(self, tmp_path):
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match="m must be"):
-            main(["run", "--problem", "nnls", "--synth", "50,20",
-                  "--method", "pga", "--m", "-1", "--out", str(out)])
-        assert not out.exists()
+        for name in ("m", "seed"):
+            with pytest.raises(ValueError, match="^%s must be at least 0"
+                               % name):
+                main(["run", "--problem", "nnls", "--synth", "50,20",
+                      "--method", "pga", "--" + name, "-1",
+                      "--out", str(out)])
+            assert not out.exists()
 
     @pytest.mark.parametrize("flags,fields,fragment", [
         (["--method", "pga,pga"], {}, "'pga' is named twice"),

@@ -25,8 +25,6 @@ from aaprox.problems import (
     nonneg_indicator,
     operator_norm_sq,
     prox_l1,
-    project_box,
-    project_nonneg,
     simplex_indicator,
     zero_term,
 )
@@ -494,8 +492,9 @@ class TestProximalMaps:
 
     def test_projections(self):
         y = np.array([-2.0, 0.5, 3.0])
-        assert_allclose(project_box(y, -1.0, 1.0), [-1.0, 0.5, 1.0])
-        assert_allclose(project_nonneg(y), [0.0, 0.5, 3.0])
+        assert_allclose(box_indicator(-1.0, 1.0).prox(y, 1.0),
+                        [-1.0, 0.5, 1.0])
+        assert_allclose(nonneg_indicator().prox(y, 1.0), [0.0, 0.5, 3.0])
 
     def test_prox_minimizes_the_model(self):
         # check the defining property on random perturbations
