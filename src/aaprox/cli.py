@@ -100,7 +100,7 @@ class ExperimentConfig:
                 raise ValueError("%s must be finite, got %r" % (name, value))
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive, got %r" % self.gamma)
-        for name, low in (("m", 0), ("max_iters", 1), ("tol", 0),
+        for name, low in (("m", 0), ("mu", 0), ("max_iters", 1), ("tol", 0),
                           ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r"
@@ -171,10 +171,11 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
 
     Each problem picks its loss, its nonsmooth term and its start x0. The
     step is config.gamma when set, else 1/L for the loss's smoothness
-    constant L (relative smoothness for kl_l1, 25 for counterexample). y0
-    is the mirror image of x0: grad phi(x0) under the Shannon kernel of
-    kl_l1, and x0 itself on the Euclidean problems, whose energy kernel
-    has the identity as its mirror map.
+    constant L (relative smoothness for kl_l1, 25 for counterexample); an
+    unset step with L = 0 is a ValueError. y0 is the mirror image of x0:
+    grad phi(x0) under the Shannon kernel of kl_l1, and x0 itself on the
+    Euclidean problems, whose energy kernel has the identity as its mirror
+    map.
     """
     if config.problem == "counterexample":
         loss, h, x0 = PiecewiseLoss(), zero_term(), np.array([2.1])
@@ -199,6 +200,10 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
         else:  # kl_l1
             loss = kl_loss(data.A, data.b)
             h, x0 = l1_term(config.lam), np.ones(n)
+    if config.gamma is None and loss.smoothness == 0.0:
+        # an all-zero A with no ridge term
+        raise ValueError("the smoothness constant L of the loss is 0, so "
+                         "there is no default step 1/L; set --gamma")
     gamma = 1.0 / loss.smoothness if config.gamma is None else config.gamma
     if config.problem == "kl_l1":
         problem = BregmanProblem(shannon_kernel(), loss, h, gamma, x0.size)

@@ -9,14 +9,15 @@ and then the gradient at the same point costs one product, even with one
 other point evaluated in between. That product is A @ x, and each gradient
 adds one product with A^T, except for least squares on a dense A with no
 more columns than rows: it forms its normal matrix A^T A once and needs
-only the n x n product A^T A x per point. Callers must not mutate iterate
-arrays in place. What does not depend on the point is worked out at
-construction: the KL loss finds its live rows (those not identically zero)
-once, so value, gradient and domain check run on the live rows alone.
-Least squares remembers A x. The logistic loss remembers the margins
-t = -y * (A x) with exp(-|t|), so the exponential too is taken once per
-point, and the KL loss remembers (A x, log(A x / b)), so the logarithm too
-is taken once per point.
+only one symmetric product A^T A x per point, which BLAS symv takes from
+the upper triangle. Callers must not mutate iterate arrays in place.
+What does not depend on the point is worked out at construction: the KL
+loss finds its live rows (those not identically zero) once, so value,
+gradient and domain check run on the live rows alone. Least squares
+remembers A x, or A^T A x where it formed A^T A. The logistic loss
+remembers the margins t = -y * (A x) with exp(-|t|), so the exponential
+too is taken once per point, and the KL loss remembers
+(A x, log(A x / b)), so the logarithm too is taken once per point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import aslinearoperator, eigsh
 
 
@@ -54,6 +56,12 @@ class _IdentityMemo:
 
 def _product(x, A):
     return np.asarray(A @ x).ravel()
+
+
+def _symmetric_product(x, Q):
+    """Q x for a symmetric, Fortran-ordered float64 Q, read from its upper
+    triangle; the order lets BLAS take Q without a copy."""
+    return dsymv(1.0, Q, x)
 
 
 def _logistic_point(x, A, y):
@@ -100,6 +108,8 @@ class LogisticLoss:
         labels = np.unique(y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1, got %r" % (labels,))
+        if not mu >= 0:  # nan too
+            raise ValueError("mu must be nonnegative, got %r" % (mu,))
         self.A = A
         self.y = y
         self.mu = float(mu)
@@ -132,7 +142,8 @@ class LeastSquaresLoss:
     Two routes, fixed at construction by A. A dense ndarray with n <= M
     takes the normal-matrix route: Q = A^T A, c = A^T b and b^T b are formed
     once, which holds n^2 doubles for Q, and value and gradient at x share
-    one product Q x, remembered for the last two points:
+    one symmetric product Q x, remembered for the last two points. BLAS
+    symv takes that product from the upper triangle of Q alone:
 
         grad(x)  = (Q x - c) / M + 2 mu x,
         value(x) = (x^T Q x - 2 c^T x + b^T b) / (2 M) + mu ||x||^2.
@@ -151,6 +162,8 @@ class LeastSquaresLoss:
     """
 
     def __init__(self, A, b, mu: float = 0.0, smoothness: float | None = None):
+        if not mu >= 0:  # nan too
+            raise ValueError("mu must be nonnegative, got %r" % (mu,))
         self.A = A
         self.b = np.asarray(b, dtype=float)
         self.mu = float(mu)
@@ -162,10 +175,12 @@ class LeastSquaresLoss:
         self._normal = None
         if isinstance(A, np.ndarray) and self.n <= self.M:
             dense = np.asarray(A, dtype=float)
-            self._normal = (dense.T @ dense, dense.T @ self.b,
+            # the product is exactly symmetric, so its transpose is the
+            # same matrix in Fortran order
+            self._normal = ((dense.T @ dense).T, dense.T @ self.b,
                             float(np.dot(self.b, self.b)))
             # keyed on x alone, so Q x cannot share the memo of A x
-            self._normal_product = _IdentityMemo(_product)
+            self._normal_product = _IdentityMemo(_symmetric_product)
 
     def _resid(self, x):
         return self._product(x, self.A) - self.b

@@ -355,13 +355,23 @@ class TestMain:
 
     def test_rejected_settings_write_nothing(self, tmp_path):
         out = tmp_path / "o"
-        for name in ("m", "seed"):
+        for name in ("m", "seed", "mu"):
             with pytest.raises(ValueError, match="^%s must be at least 0"
                                % name):
                 main(["run", "--problem", "nnls", "--synth", "50,20",
                       "--method", "pga", "--" + name, "-1",
                       "--out", str(out)])
             assert not out.exists()
+
+    def test_zero_smoothness_without_a_step_writes_nothing(self, tmp_path):
+        # an all-zero A has L = 0, so the default step 1/L does not exist
+        data = tmp_path / "zeros.csv"
+        data.write_text("0,0,1\n0,0,2\n0,0,-1\n")
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="L of the loss is 0.*--gamma"):
+            main(["run", "--problem", "nnls", "--data", str(data),
+                  "--method", "pga", "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,fields,fragment", [
         (["--method", "pga,pga"], {}, "'pga' is named twice"),

@@ -117,6 +117,11 @@ class TestLogisticLoss:
         with pytest.raises(ValueError):
             logistic_loss(A, np.array([0.0, 1.0, -1.0]))
 
+    def test_rejects_a_negative_ridge_weight(self):
+        for mu in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="mu must be nonnegative"):
+                logistic_loss(np.ones((3, 2)), np.ones(3), mu=mu)
+
     def test_ridge_term_enters_value_and_grad(self):
         A = np.ones((4, 2))
         y = np.array([1.0, -1.0, 1.0, -1.0])
@@ -245,6 +250,33 @@ class TestLeastSquaresLoss:
                 grad = A.T @ r / M + 2 * mu * x
                 assert np.all(np.abs(f.grad(x) - grad)
                               <= 64 * eps * (scale + 2 * mu * np.abs(x)))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "float32",
+                                        "column_strided"])
+    def test_symmetric_product_on_every_dense_layout(self, layout):
+        # whatever the order and dtype of A, the normal-matrix route (whose
+        # product reads one triangle of Q) matches the residual formula,
+        # also at an x that is not contiguous
+        rng = np.random.default_rng(7)
+        wide = rng.standard_normal((40, 30))
+        A = {"C": np.ascontiguousarray(wide[:, :15]),
+             "F": np.asfortranarray(wide[:, :15]),
+             "float32": wide[:, :15].astype(np.float32),
+             "column_strided": wide[:, ::2]}[layout]
+        b = rng.standard_normal(40)
+        dense = np.asarray(A, dtype=float)
+        f = least_squares_loss(A, b, mu=0.3)
+        for x in (rng.standard_normal(15), rng.standard_normal(30)[::2]):
+            r = dense @ x - b
+            assert_allclose(f.value(x), r @ r / 80 + 0.3 * (x @ x),
+                            rtol=1e-12)
+            assert_allclose(f.grad(x), dense.T @ r / 40 + 0.6 * x,
+                            rtol=1e-12)
+
+    def test_rejects_a_negative_ridge_weight(self):
+        for mu in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="mu must be nonnegative"):
+                least_squares_loss(np.ones((3, 2)), np.ones(3), mu=mu)
 
     def test_large_finite_value_does_not_overflow(self):
         # the cancellation test compares scaled terms: 2^16 times the value

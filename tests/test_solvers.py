@@ -380,17 +380,20 @@ def products(monkeypatch):
     """Counts the forward products of every loss built after it is set up.
 
     Least squares makes one per point: Q x on the normal-matrix route of
-    dense A, A x on the residual route. Both go through problems._product,
-    which a loss binds when it is built.
+    dense A, through problems._symmetric_product, and A x on the residual
+    route, through problems._product. A loss binds them when it is built.
     """
     made = []
-    product = problems._product
 
-    def counted(x, A):
-        made.append(1)
-        return product(x, A)
+    def counting(product):
+        def counted(x, A):
+            made.append(1)
+            return product(x, A)
+        return counted
 
-    monkeypatch.setattr(problems, "_product", counted)
+    for name in ("_product", "_symmetric_product"):
+        monkeypatch.setattr(problems, name,
+                            counting(getattr(problems, name)))
     return made
 
 
