@@ -215,8 +215,8 @@ def polynomial_kernel(alpha: float = 0.0) -> Kernel:
     The conjugate gradient rescales y onto the sphere of radius t where
     t solves t^3 + alpha t = ||y||.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:  # nan too
+        raise ValueError("alpha must be nonnegative, got %r" % (alpha,))
 
     def value(x):
         nsq = float(np.dot(x, x))

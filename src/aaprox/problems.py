@@ -18,6 +18,8 @@ remembers A x, or A^T A x where it formed A^T A. The logistic loss
 remembers the margins t = -y * (A x) with exp(-|t|), so the exponential
 too is taken once per point, and the KL loss remembers
 (A x, log(A x / b)), so the logarithm too is taken once per point.
+These three losses refuse data holding a nan or an infinity at
+construction, before any other work.
 """
 
 from __future__ import annotations
@@ -64,6 +66,37 @@ def _symmetric_product(x, Q):
     return dsymv(1.0, Q, x)
 
 
+def _require_finite(name: str, a) -> None:
+    """ValueError unless every stored float of a, dense or sparse, is finite.
+
+    min and max propagate nan and bound any inf, and unlike
+    np.isfinite(a).all() they build no array of a's size. A matrix-like
+    that is neither an array nor sparse only offers products, so its
+    entries are not read.
+    """
+    if sparse.issparse(a):
+        # these formats hold exactly the stored entries in their data
+        if a.format not in ("bsr", "coo", "csc", "csr"):
+            a = a.tocsr()
+        a = a.data
+    a = np.asarray(a)
+    if (a.dtype.kind == "f" and a.size
+            and not (np.isfinite(a.min()) and np.isfinite(a.max()))):
+        raise ValueError("%s must hold only finite values" % name)
+
+
+def _with_ridge(value: float, mu: float, x) -> float:
+    """value + mu ||x||^2, with no work at mu = 0."""
+    return value + mu * float(np.dot(x, x)) if mu else value
+
+
+def _with_ridge_grad(g: np.ndarray, mu: float, x) -> np.ndarray:
+    """g + 2 mu x, added into g, with no work at mu = 0."""
+    if mu:
+        g += 2.0 * mu * x
+    return g
+
+
 def _logistic_point(x, A, y):
     """(t, exp(-|t|)) with margins t = -y * (A x), the pair LogisticLoss's
     value and gradient share."""
@@ -101,9 +134,13 @@ class LogisticLoss:
     and 300 plus 0, +-36.9, +-745, +-800 and +-2000, each value term is
     within 1.6 ulp (np.logaddexp(0, t): 1.5) and each s within 2.3 ulp;
     scipy's expit flushes the subnormal s of t in (-745, -709) to zero.
+
+    The ridge terms mu ||x||^2 and 2 mu x are only worked out for mu > 0.
+    A must hold only finite values.
     """
 
     def __init__(self, A, y, mu: float = 0.0, smoothness: float | None = None):
+        _require_finite("A", A)
         y = np.asarray(y, dtype=float)
         labels = np.unique(y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -123,7 +160,7 @@ class LogisticLoss:
         t, e = self._point(x, self.A, self.y)
         v = np.maximum(t, 0.0)
         v += np.log1p(e)
-        return float(v.mean() + self.mu * np.dot(x, x))
+        return _with_ridge(float(v.mean()), self.mu, x)
 
     def grad(self, x) -> np.ndarray:
         t, e = self._point(x, self.A, self.y)
@@ -132,8 +169,8 @@ class LogisticLoss:
         w /= 1.0 + e
         w *= self.y
         np.negative(w, out=w)
-        g = self.A.T @ w
-        return np.asarray(g).ravel() / self.M + 2.0 * self.mu * x
+        g = np.asarray(self.A.T @ w).ravel() / self.M
+        return _with_ridge_grad(g, self.mu, x)
 
 
 class LeastSquaresLoss:
@@ -159,11 +196,18 @@ class LeastSquaresLoss:
     Sparse A, any other matrix-like A and wide dense A (n > M) take the
     residual route: r = A x - b with A x remembered for the last two points,
     value from ||r||^2 and gradient A^T r / M + 2 mu x.
+
+    The value's scalar arithmetic is done on Python floats, and the ridge
+    terms mu ||x||^2 and 2 mu x are only worked out for mu > 0. A and b
+    must hold only finite values; a matrix-like A that is neither an array
+    nor sparse is not read.
     """
 
     def __init__(self, A, b, mu: float = 0.0, smoothness: float | None = None):
         if not mu >= 0:  # nan too
             raise ValueError("mu must be nonnegative, got %r" % (mu,))
+        _require_finite("A", A)
+        _require_finite("b", b)
         self.A = A
         self.b = np.asarray(b, dtype=float)
         self.mu = float(mu)
@@ -186,26 +230,25 @@ class LeastSquaresLoss:
         return self._product(x, self.A) - self.b
 
     def value(self, x) -> float:
-        ridge = self.mu * np.dot(x, x)
         if self._normal is not None:
             Q, c, bb = self._normal
-            quad = np.dot(x, self._normal_product(x, Q))
-            lin = np.dot(c, x)
+            quad = float(np.dot(x, self._normal_product(x, Q)))
+            lin = float(np.dot(c, x))
             sq = quad - 2.0 * lin + bb
             if (quad * 2.0 ** -16 + abs(lin) * 2.0 ** -15
                     + bb * 2.0 ** -16 <= sq):
-                return float(sq / (2.0 * self.M) + ridge)
+                return _with_ridge(sq / (2.0 * self.M), self.mu, x)
         r = self._resid(x)
-        return float(np.dot(r, r) / (2.0 * self.M) + ridge)
+        return _with_ridge(float(np.dot(r, r)) / (2.0 * self.M), self.mu, x)
 
     def grad(self, x) -> np.ndarray:
         if self._normal is not None:
             Q, c, _ = self._normal
-            return ((self._normal_product(x, Q) - c) / self.M
-                    + 2.0 * self.mu * x)
-        r = self._resid(x)
-        g = self.A.T @ r
-        return np.asarray(g).ravel() / self.M + 2.0 * self.mu * x
+            g = self._normal_product(x, Q) - c
+            g /= self.M
+        else:
+            g = np.asarray(self.A.T @ self._resid(x)).ravel() / self.M
+        return _with_ridge_grad(g, self.mu, x)
 
 
 class KlLoss:
@@ -214,8 +257,8 @@ class KlLoss:
     kl(u, v) = u log(u / v) - u + v with 0 log 0 = 0, which only arises on
     rows of A that are identically zero. A zero (Ax)_i on a row that is not
     identically zero sits on the boundary where the gradient blows up and
-    raises DomainError. Requires A >= 0 elementwise and b > 0. The relative
-    smoothness constant is the largest column 1-norm of A.
+    raises DomainError. Requires finite A >= 0 elementwise and finite b > 0.
+    The relative smoothness constant is the largest column 1-norm of A.
 
     The live rows, those not identically zero, are found at construction;
     each zero row contributes the constant b_i, summed once into a target
@@ -229,6 +272,8 @@ class KlLoss:
     """
 
     def __init__(self, A, b):
+        _require_finite("A", A)
+        _require_finite("b", b)
         b = np.asarray(b, dtype=float)
         if np.any(b <= 0):
             raise ValueError("b must be positive")
@@ -315,6 +360,9 @@ class NonsmoothTerm:
 
     prox(y, gamma) returns argmin_x gamma * h(x) + ||x - y||^2 / 2; kind and
     params let kernel-specific Bregman proximal maps dispatch on structure.
+    A kind in PROJECTION_KINDS promises that h is an indicator and prox the
+    projection onto its set, so h is 0 at every finite prox output; the
+    solver loops then never call value on the points they record.
     """
 
     value: Callable[[np.ndarray], float]
@@ -328,8 +376,8 @@ def zero_term() -> NonsmoothTerm:
 
 
 def l1_term(lam: float) -> NonsmoothTerm:
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not lam >= 0:  # nan too
+        raise ValueError("lam must be nonnegative, got %r" % (lam,))
     return NonsmoothTerm(
         value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda y, gamma: prox_l1(y, lam * gamma),
@@ -338,9 +386,16 @@ def l1_term(lam: float) -> NonsmoothTerm:
     )
 
 
+# The prox of an indicator is the projection onto its set (Beck 2017,
+# First-Order Methods in Optimization, ch. 6), so a finite prox output of a
+# term of these kinds lies in the set, where h is 0. The solver loops record
+# f alone at such points; a custom term of these kinds must keep the promise.
+PROJECTION_KINDS = frozenset({"box", "nonneg"})
+
+
 def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:
-    if lo > hi:
-        raise ValueError("empty box")
+    if not lo <= hi:  # nan too
+        raise ValueError("box needs lo <= hi, got lo=%r, hi=%r" % (lo, hi))
 
     def value(x):
         return 0.0 if (x >= lo).all() and (x <= hi).all() else np.inf

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anderson import AAConfig, AndersonEngine, _norm, _stop
-from .problems import CompositeProblem, DomainError
+from .problems import PROJECTION_KINDS, CompositeProblem, DomainError
 
 __all__ = [
     "IterationTrace",
@@ -131,6 +131,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
     step when it passes. The window is kept across rejections. A candidate
     that is not finite, or whose f raises DomainError, has f_test = inf.
+    A row records f(x) + h(x) at its x, which is always a to_primal output;
+    where h's kind is in PROJECTION_KINDS, a finite x lies in h's set, so
+    the row records f(x) alone and h is never called.
     The first row whose objective is not finite records inf and ends the
     run as "degenerate". The loop runs under one np.errstate that ignores
     overflow and invalid operations, so a run that overflows is reported
@@ -140,6 +143,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
+    # every recorded x is a to_primal output, so h is 0 at a finite one
+    projected = h.kind in PROJECTION_KINDS
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
@@ -180,9 +185,10 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                     x = x_next
             if f_next is None:
                 f_next = f.value(x) if np.isfinite(x).all() else np.inf
-            f_curr = f_next
-            objective = (f_curr + h.value(x) if math.isfinite(f_curr)
-                         else np.inf)
+            f_curr = objective = f_next
+            # a finite f_curr was taken at a finite x
+            if not projected and math.isfinite(f_curr):
+                objective += h.value(x)
             if not math.isfinite(objective):
                 termination, objective = "degenerate", np.inf
             elapsed = time.perf_counter() - start
@@ -259,14 +265,16 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     beta_1 = 0, so the first step is the plain proximal gradient step; it
     is taken even when max_iters < 1, as in the other drivers. The
     recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
-    a surrogate for the gradient mapping norm. The first row whose objective
-    is not finite records inf and ends the run as "degenerate"; the loop
-    ignores overflow and invalid operations, so such a run is reported, not
-    warned about.
+    a surrogate for the gradient mapping norm. A row records the objective
+    at x_{k+1}, a prox output, so f alone where h's kind is in
+    PROJECTION_KINDS. The first row whose objective is not finite records
+    inf and ends the run as "degenerate"; the loop ignores overflow and
+    invalid operations, so such a run is reported, not warned about.
     """
     if gamma is None:
         gamma = 1.0 / problem.f.smoothness
     start = time.perf_counter()
+    projected = problem.h.kind in PROJECTION_KINDS
     x = np.asarray(x0, dtype=float)
     x_prev = x
     trace = IterationTrace(keep_iterates)
@@ -279,8 +287,12 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
             x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
             rn = _norm(x_next - x) / gamma
             x_prev, x = x, x_next
-            objective = (problem.objective(x) if np.isfinite(x).all()
-                         else np.inf)
+            if not np.isfinite(x).all():
+                objective = np.inf
+            elif projected:  # x is a prox output, so h(x) = 0
+                objective = float(problem.f.value(x))
+            else:
+                objective = problem.objective(x)
             finite = math.isfinite(objective)
             trace.record(objective if finite else np.inf, rn, "plain",
                          time.perf_counter() - start, x=x)

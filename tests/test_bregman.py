@@ -177,8 +177,9 @@ class TestKernelDomains:
 
 class TestPolynomialKernel:
     def test_rejects_negative_curvature(self):
-        with pytest.raises(ValueError):
-            polynomial_kernel(-1.0)
+        for alpha in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="alpha must be nonnegative"):
+                polynomial_kernel(alpha)
 
     def test_conjugate_matches_cubic_root_oracle(self):
         rng = np.random.default_rng(3)

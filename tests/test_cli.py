@@ -373,6 +373,22 @@ class TestMain:
                   "--method", "pga", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, value", [
+        ("logreg_box", "nan"), ("logreg_box", "inf"), ("nnls", "nan"),
+        ("nnls", "-inf")])
+    def test_non_finite_data_writes_nothing(self, tmp_path, capfd, problem,
+                                            value):
+        # rejected by the loss, before ARPACK would fail on it
+        data = tmp_path / "bad.svm"
+        data.write_text("+1 1:0.8 3:%s\n-1 2:1.5 3:0.3\n+1 1:-0.4 2:0.9\n"
+                        % value)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="A must hold only finite"):
+            main(["run", "--problem", problem, "--data", str(data),
+                  "--method", "pga", "--out", str(out)])
+        assert not out.exists()
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("flags,fields,fragment", [
         (["--method", "pga,pga"], {}, "'pga' is named twice"),
         (["--method", ""], {}, "unknown method ''"),

@@ -11,6 +11,7 @@ from scipy.special import expit
 from aaprox.anderson import AAConfig
 from aaprox.datasets import generate_nnls_instance
 from aaprox.problems import (
+    PROJECTION_KINDS,
     CompositeProblem,
     DomainError,
     KlLoss,
@@ -201,6 +202,119 @@ class TestLogisticOracle:
         f.value(x2)
         f.grad(x1)
         assert A.forward == 2
+
+
+def least_squares_textbook(A, b, mu, x):
+    """Value and gradient of LeastSquaresLoss from the residual A x - b."""
+    r = A @ x - b
+    value = r @ r / (2 * len(b)) + mu * np.dot(x, x)
+    grad = A.T @ r / len(b) + 2.0 * mu * x
+    return value, grad
+
+
+class TestLeastSquaresOracle:
+    @pytest.mark.parametrize("shape, fmt", [
+        ((60, 8), "dense"), ((8, 60), "dense"), ((60, 8), "csr")],
+        ids=["tall_dense", "wide_dense", "tall_csr"])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    @pytest.mark.parametrize("grad_first", [False, True])
+    def test_matches_the_textbook_formulas(self, shape, fmt, mu, grad_first):
+        # tall dense A takes the normal-matrix route, the others the
+        # residual route; both equal the residual formula
+        rng = np.random.default_rng(15)
+        A = rng.standard_normal(shape)
+        A[rng.random(shape) < 0.5] = 0.0
+        b = rng.standard_normal(shape[0])
+        f = least_squares_loss(A if fmt == "dense" else sparse.csr_matrix(A),
+                               b, mu=mu, smoothness=1.0)
+        for x in (rng.standard_normal(shape[1]), np.zeros(shape[1])):
+            if grad_first:
+                grad, value = f.grad(x), f.value(x)
+            else:
+                value, grad = f.value(x), f.grad(x)
+            ref_value, ref_grad = least_squares_textbook(A, b, mu, x)
+            assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+            assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+def test_no_ridge_term_at_zero_mu(loss, fmt):
+    # ||x||^2 overflows at this x although the data term is finite: a ridge
+    # term evaluated at mu = 0 would give 0 * inf = nan
+    rng = np.random.default_rng(16)
+    A = 1e-10 * rng.standard_normal((30, 4))
+    b = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    x = np.full(4, 1e155)
+    mat = A if fmt == "dense" else sparse.csr_matrix(A)
+    make = least_squares_loss if loss == "least_squares" else logistic_loss
+    f = make(mat, b, smoothness=1.0)
+    if loss == "least_squares":
+        r = A @ x - b
+        ref_value, ref_grad = r @ r / 60, A.T @ r / 30
+    else:
+        t = -b * (A @ x)
+        ref_value = np.logaddexp(0.0, t).mean()
+        ref_grad = A.T @ (-b * expit(t)) / 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = f.value(x), f.grad(x)
+    assert np.isfinite(value)
+    assert_allclose(value, ref_value, rtol=1e-12)
+    assert_allclose(grad, ref_grad, rtol=1e-12)
+    # at mu > 0 the ridge term is there, and here it is inf
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.dot(x, x))
+        assert make(mat, b, mu=0.1, smoothness=1.0).value(x) == np.inf
+
+
+def non_finite_data_cases():
+    """(loss factory, name, A, b) with one non-finite entry in A or b."""
+    rng = np.random.default_rng(17)
+    A = rng.random((6, 3)) + 0.1
+    b = rng.random(6) + 0.5
+    y = np.where(rng.random(6) < 0.5, -1.0, 1.0)
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_A = A.copy()
+        bad_A[2, 1] = bad
+        bad_b = b.copy()
+        bad_b[4] = bad
+        for fmt in ("dense", "csr", "csc"):
+            mat = bad_A if fmt == "dense" else sparse.csr_matrix(
+                bad_A).asformat(fmt)
+            cases += [(least_squares_loss, "A", mat, b),
+                      (logistic_loss, "A", mat, y),
+                      (kl_loss, "A", mat, b)]
+        cases += [(least_squares_loss, "b", A, bad_b),
+                  (kl_loss, "b", A, bad_b)]
+    return cases
+
+
+@pytest.mark.parametrize("make, name, A, b", non_finite_data_cases())
+def test_non_finite_data_is_rejected_before_any_work(make, name, A, b,
+                                                     capfd, monkeypatch):
+    def no_norm(A):
+        raise AssertionError("operator_norm_sq ran on non-finite data")
+
+    monkeypatch.setattr("aaprox.problems.operator_norm_sq", no_norm)
+    with pytest.raises(ValueError, match="%s must hold only finite values"
+                       % name):
+        make(A, b)
+    # nothing reached LAPACK, which prints to stderr on a nan
+    assert capfd.readouterr().err == ""
+
+
+def test_finite_data_of_every_storage_is_accepted():
+    rng = np.random.default_rng(18)
+    A = rng.random((6, 3)) + 0.1
+    b = rng.random(6) + 0.5
+    for mat in (A, np.asfortranarray(A), A.astype(np.float32),
+                np.rint(10 * A).astype(int), sparse.csr_matrix(A),
+                sparse.lil_matrix(A), sparse.csr_matrix((6, 3)),
+                CountingMatrix(A)):
+        least_squares_loss(mat, b, smoothness=1.0)
+    least_squares_loss(A, list(b), smoothness=1.0)
 
 
 class TestLeastSquaresLoss:
@@ -554,15 +668,35 @@ class TestNonsmoothTerms:
     def test_l1_value_and_validation(self):
         t = l1_term(2.0)
         assert t.value(np.array([1.0, -3.0])) == 8.0
-        with pytest.raises(ValueError):
-            l1_term(-0.1)
+        for lam in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="lam must be nonnegative"):
+                l1_term(lam)
 
     def test_box_value_and_validation(self):
         t = box_indicator(-1.0, 1.0)
         assert t.value(np.array([0.5, -1.0])) == 0.0
         assert t.value(np.array([0.5, -1.1])) == np.inf
-        with pytest.raises(ValueError):
-            box_indicator(1.0, -1.0)
+        for lo, hi in ((1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan),
+                       (np.nan, np.nan)):
+            with pytest.raises(ValueError, match="box needs lo <= hi"):
+                box_indicator(lo, hi)
+        # a half-infinite box is still a box
+        assert box_indicator(0.0, np.inf).value(np.array([3.0])) == 0.0
+
+    @pytest.mark.parametrize("term", [
+        box_indicator(-1.0, 1.0), box_indicator(0.0, np.inf),
+        box_indicator(0.5, 0.5), nonneg_indicator()],
+        ids=["box", "half_infinite", "point", "nonneg"])
+    def test_projection_kinds_are_zero_at_every_finite_prox_output(self,
+                                                                   term):
+        # the fact the solver loops rely on when they skip h on recorded rows
+        assert term.kind in PROJECTION_KINDS
+        rng = np.random.default_rng(19)
+        for scale in (1e-3, 1.0, 1e300):
+            y = scale * rng.standard_normal(50)
+            y[:3] = (0.0, -0.0, 0.5)
+            x = term.prox(y, 1.0)
+            assert np.isfinite(x).all() and term.value(x) == 0.0
 
     def test_simplex_value(self):
         t = simplex_indicator()

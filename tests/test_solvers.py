@@ -642,6 +642,91 @@ def test_a_zero_budget_still_takes_the_first_step(driver):
     assert np.array_equal(rep.x, one.x)
 
 
+def projection_case(kind):
+    """Logistic problems on which the guarded solver takes "AA", "damped"
+    and "fallback" rows: over the orthant at mu = 0, over a box at
+    mu = 0.1."""
+    seed, mu, h = {"orthant": (0, 0.0, nonneg_indicator()),
+                   "box": (1, 0.1, box_indicator(-0.2, 0.3))}[kind]
+    data = generate_logreg_instance(100, 20, seed)
+    f = logistic_loss(data.A, data.b, mu=mu)
+    return CompositeProblem(f, h, 20), np.full(20, 0.5)
+
+
+EUCLIDEAN_SOLVERS = [run_pga, run_aa_pga, run_guarded_aa_pga,
+                     run_nesterov_pga]
+
+
+class TestProjectionRows:
+    """Rows of box and orthant runs record f alone, which is f + h."""
+
+    @staticmethod
+    def assert_rows_are_f_plus_h(prob, rep):
+        assert len(rep.trace.iterates) == len(rep.trace) > 1
+        for objective, x in zip(rep.trace.objective, rep.trace.iterates):
+            assert prob.h.value(x) == 0.0
+            assert objective == prob.f.value(x) + prob.h.value(x)
+
+    @pytest.mark.parametrize("kind", ["orthant", "box"])
+    @pytest.mark.parametrize("solve", EUCLIDEAN_SOLVERS,
+                             ids=lambda d: d.__name__)
+    def test_every_row_is_f_plus_h_at_a_point_of_the_set(self, kind, solve):
+        prob, x0 = projection_case(kind)
+        rep = solve(prob, x0, max_iters=150, keep_iterates=True)
+        if solve is run_guarded_aa_pga:
+            assert {"AA", "damped", "fallback"} <= set(rep.trace.step_kind)
+        self.assert_rows_are_f_plus_h(prob, rep)
+
+    @pytest.mark.parametrize("kind", ["orthant", "box"])
+    @pytest.mark.parametrize("solve", [run_bpg, run_guarded_aa_bpg],
+                             ids=lambda d: d.__name__)
+    def test_energy_kernel_rows_too(self, kind, solve):
+        prob, x0 = projection_case(kind)
+        bp = BregmanProblem(energy_kernel(), prob.f, prob.h,
+                            1.0 / prob.f.smoothness, prob.n)
+        rep = solve(bp, x0, max_iters=150, keep_iterates=True)
+        if solve is run_guarded_aa_bpg:
+            assert {"AA", "fallback"} <= set(rep.trace.step_kind)
+        self.assert_rows_are_f_plus_h(prob, rep)
+
+    @pytest.mark.parametrize("kind, per_row", [
+        ("box", 0), ("nonneg", 0), ("custom", 1)])
+    @pytest.mark.parametrize("solve", EUCLIDEAN_SOLVERS,
+                             ids=lambda d: d.__name__)
+    def test_h_value_is_called_only_outside_the_projection_kinds(
+            self, kind, per_row, solve):
+        prob, x0 = projection_case("box")
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return prob.h.value(x)
+
+        h = NonsmoothTerm(value=value, prox=prob.h.prox, kind=kind)
+        rep = solve(CompositeProblem(prob.f, h, prob.n), x0, max_iters=40)
+        assert len(calls) == per_row * len(rep.trace)
+
+    @pytest.mark.parametrize("h", [nonneg_indicator(),
+                                   box_indicator(0.0, np.inf)],
+                             ids=["orthant", "half_infinite_box"])
+    @pytest.mark.parametrize("solve", EUCLIDEAN_SOLVERS,
+                             ids=lambda d: d.__name__)
+    def test_a_non_finite_prox_output_still_ends_the_run(self, h, solve):
+        # h is skipped, but a first step that overflows to an infinite prox
+        # output still records inf and ends the run, quietly
+        data = generate_nnls_instance(80, 40)
+        f = least_squares_loss(data.A, data.b)
+        prob = CompositeProblem(f, h, 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = solve(prob, np.full(40, -1e300), gamma=1e10 / f.smoothness,
+                         max_iters=50, keep_iterates=True)
+        assert caught == []
+        assert rep.termination == "degenerate"
+        assert rep.trace.objective == [np.inf]
+        assert np.isinf(rep.trace.iterates[0]).any()
+
+
 class TestRunNesterovPga:
     def test_default_momentum_schedule(self):
         # beta_1 = 0 so the first step must be the plain step
