@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from .anderson import AAConfig, AndersonEngine
 from .problems import (CompositeProblem, DomainError, NonsmoothTerm,
-                       _IdentityMemo)
+                       _IdentityMemo, _some_at_most)
 from .solvers import SolveReport, _proximal_gradient
 
 __all__ = [
@@ -94,9 +94,11 @@ def shannon_kernel() -> Kernel:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        if (x <= 0).any():
+        if _some_at_most(x, 0.0):
             raise DomainError("shannon gradient needs x > 0")
-        return 1.0 + np.log(x)
+        out = np.log(x)
+        out += 1.0
+        return out
 
     # exp underflows to 0 near y = -745; keep the image of conj_grad inside
     # the open domain so grad(conj_grad(y)) stays evaluable. Overflow to inf
@@ -104,8 +106,10 @@ def shannon_kernel() -> Kernel:
     tiny = np.finfo(float).tiny
 
     def conj_grad(y):
+        out = np.asarray(y, dtype=float) - 1.0
         with np.errstate(over="ignore", under="ignore"):
-            return np.maximum(np.exp(np.asarray(y, dtype=float) - 1.0), tiny)
+            np.exp(out, out=out)
+        return np.maximum(out, tiny, out=out)
 
     return Kernel("shannon", value, grad, conj_grad, full_dual_domain=True)
 
@@ -242,7 +246,7 @@ def bregman_distance(kernel: Kernel, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return float(kernel.value(x) - kernel.value(y)
-                 - np.dot(kernel.grad(y), x - y))
+                 - kernel.grad(y).dot(x - y))
 
 
 def bregman_prox(h: NonsmoothTerm, kernel: Kernel, gamma: float,
@@ -264,11 +268,11 @@ def bregman_prox(h: NonsmoothTerm, kernel: Kernel, gamma: float,
         return h.prox(u, gamma)
     if kernel.name == "shannon":
         if h.kind == "l1":
-            if (u <= 0).any():
+            if _some_at_most(u, 0.0):
                 raise DomainError("shannon proximal map needs u > 0")
             return u * np.exp(-gamma * h.params["lam"])
         if h.kind == "simplex":
-            if (u <= 0).any():
+            if _some_at_most(u, 0.0):
                 raise DomainError("shannon proximal map needs u > 0")
             return u / float(u.sum())
     raise UnsupportedProxError(
@@ -314,7 +318,7 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
     passes one that remembers them, so grad phi(x) is the step's mirror(x)
     and phi(x) the previous row's phi(x_plain) after a fallback.
     """
-    bound = (f_curr + float(np.dot(grad_curr, x_plain - x_curr))
+    bound = (f_curr + float(grad_curr.dot(x_plain - x_curr))
              + bregman_distance(kernel, x_plain, x_curr) / gamma)
     return f_test <= bound
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 PROBLEMS = ("logreg_box", "nnls", "kl_l1", "quadratic", "counterexample")
+RIDGE_PROBLEMS = ("logreg_box", "nnls")  # the problems whose loss takes mu
 EUCLIDEAN_METHODS = ("pga", "aa_pga", "guarded_aa_pga", "nesterov")
 BREGMAN_METHODS = ("bpg", "guarded_aa_bpg")
 METHODS = EUCLIDEAN_METHODS + BREGMAN_METHODS
@@ -58,7 +59,7 @@ class ExperimentConfig:
     methods: list = field(default_factory=lambda: ["guarded_aa_pga"])
     m: int = 5
     mu: float = 0.0
-    lam: float = 0.001
+    lam: float | None = None  # kl_l1 only, where it defaults to 0.001
     gamma: float | None = None
     max_iters: int = 1000
     tol: float = 1e-10
@@ -80,7 +81,7 @@ class ExperimentConfig:
             for name in names:
                 value = getattr(self, name)
                 if not is_type(value) and not (
-                        value is None and name in ("gamma", "data")):
+                        value is None and name in ("lam", "gamma", "data")):
                     raise ValueError("%s must be %s, got %r"
                                      % (name, kind, value))
         if self.synth is not None and not (
@@ -105,6 +106,15 @@ class ExperimentConfig:
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r"
                                  % (name, low, getattr(self, name)))
+        if self.mu > 0 and self.problem not in RIDGE_PROBLEMS:
+            raise ValueError("mu is the ridge weight of %s; problem %r has "
+                             "none" % (" and ".join(RIDGE_PROBLEMS),
+                                       self.problem))
+        if self.problem != "kl_l1" and self.lam is not None:
+            raise ValueError("lam is the l1 weight of kl_l1; problem %r has "
+                             "none" % self.problem)
+        if self.problem == "kl_l1" and self.lam is None:
+            self.lam = 0.001
         if self.synth is not None and min(self.synth) < 1:
             raise ValueError("synth sizes must be at least 1, got %r"
                              % (self.synth,))

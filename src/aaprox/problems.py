@@ -87,7 +87,7 @@ def _require_finite(name: str, a) -> None:
 
 def _with_ridge(value: float, mu: float, x) -> float:
     """value + mu ||x||^2, with no work at mu = 0."""
-    return value + mu * float(np.dot(x, x)) if mu else value
+    return value + mu * float(x.dot(x)) if mu else value
 
 
 def _with_ridge_grad(g: np.ndarray, mu: float, x) -> np.ndarray:
@@ -97,24 +97,30 @@ def _with_ridge_grad(g: np.ndarray, mu: float, x) -> np.ndarray:
     return g
 
 
-def _logistic_point(x, A, y):
+def _logistic_point(x, A, neg_y):
     """(t, exp(-|t|)) with margins t = -y * (A x), the pair LogisticLoss's
-    value and gradient share."""
-    t = np.asarray(A @ x).ravel() * y
-    np.negative(t, out=t)
-    e = np.abs(t)
-    np.negative(e, out=e)
+    value and gradient share, from neg_y = -y. A sign flip is exact, so
+    (A x) * (-y) is the float -(y * (A x)) and copysign(t, -1) is -|t|."""
+    t = np.asarray(A @ x).ravel() * neg_y
+    e = np.copysign(t, -1.0)
     np.exp(e, out=e)
     return t, e
+
+
+def _some_at_most(x, bound: float) -> bool:
+    """(x <= bound).any() for a float array x; where x.min() > bound, one
+    reduction settles it without the elementwise test."""
+    return not (x.size and x.min() > bound) and bool((x <= bound).any())
 
 
 def _kl_point(x, A, b):
     """(A x, log(A x / b)), the pair KlLoss's value and gradient share;
     DomainError unless every entry of A x is positive."""
     u = np.asarray(A @ x).ravel()
-    if (u <= 0.0).any():
+    if _some_at_most(u, 0.0):
         raise DomainError("A x must be positive on every nonzero row")
-    return u, np.log(u / b)
+    ratio = u / b
+    return u, np.log(ratio, out=ratio)
 
 
 class LogisticLoss:
@@ -148,7 +154,9 @@ class LogisticLoss:
         if not mu >= 0:  # nan too
             raise ValueError("mu must be nonnegative, got %r" % (mu,))
         self.A = A
+        self._AT = A.T  # a sparse A builds its transpose anew on each .T
         self.y = y
+        self._neg_y = -y
         self.mu = float(mu)
         self.M, self.n = A.shape
         if smoothness is None:
@@ -157,19 +165,21 @@ class LogisticLoss:
         self._point = _IdentityMemo(_logistic_point)
 
     def value(self, x) -> float:
-        t, e = self._point(x, self.A, self.y)
+        t, e = self._point(x, self.A, self._neg_y)
         v = np.maximum(t, 0.0)
         v += np.log1p(e)
-        return _with_ridge(float(v.mean()), self.mu, x)
+        # the float v.mean() gives, without its wrapper
+        return _with_ridge(float(v.sum()) / self.M, self.mu, x)
 
     def grad(self, x) -> np.ndarray:
-        t, e = self._point(x, self.A, self.y)
+        t, e = self._point(x, self.A, self._neg_y)
         # e <= 1, so this is np.where(t >= 0, 1.0, e) without its branches
         w = np.maximum(e, t >= 0.0)
         w /= 1.0 + e
-        w *= self.y
-        np.negative(w, out=w)
-        g = np.asarray(self.A.T @ w).ravel() / self.M
+        w *= self._neg_y
+        # numpy converts a Python int divisor anew on each call; the float
+        # of M divides to the same floats, faster
+        g = np.asarray(self._AT @ w).ravel() / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
 
 
@@ -209,6 +219,7 @@ class LeastSquaresLoss:
         _require_finite("A", A)
         _require_finite("b", b)
         self.A = A
+        self._AT = A.T
         self.b = np.asarray(b, dtype=float)
         self.mu = float(mu)
         self.M, self.n = A.shape
@@ -232,22 +243,22 @@ class LeastSquaresLoss:
     def value(self, x) -> float:
         if self._normal is not None:
             Q, c, bb = self._normal
-            quad = float(np.dot(x, self._normal_product(x, Q)))
-            lin = float(np.dot(c, x))
+            quad = float(x.dot(self._normal_product(x, Q)))
+            lin = float(c.dot(x))
             sq = quad - 2.0 * lin + bb
             if (quad * 2.0 ** -16 + abs(lin) * 2.0 ** -15
                     + bb * 2.0 ** -16 <= sq):
                 return _with_ridge(sq / (2.0 * self.M), self.mu, x)
         r = self._resid(x)
-        return _with_ridge(float(np.dot(r, r)) / (2.0 * self.M), self.mu, x)
+        return _with_ridge(float(r.dot(r)) / (2.0 * self.M), self.mu, x)
 
     def grad(self, x) -> np.ndarray:
         if self._normal is not None:
             Q, c, _ = self._normal
             g = self._normal_product(x, Q) - c
-            g /= self.M
+            g /= float(self.M)  # as in LogisticLoss.grad
         else:
-            g = np.asarray(self.A.T @ self._resid(x)).ravel() / self.M
+            g = np.asarray(self._AT @ self._resid(x)).ravel() / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
 
 
@@ -292,16 +303,20 @@ class KlLoss:
                  else A[live])
             b = b[live]
         self._live_A, self._live_b = A, b
+        self._live_AT = A.T  # a sparse A builds its transpose anew on each .T
         self._point = _IdentityMemo(_kl_point)
 
     def value(self, x) -> float:
         b = self._live_b
         u, ratio = self._point(x, self._live_A, b)
-        return float((u * ratio - u + b).sum() + self._zero_row_mass)
+        t = u * ratio
+        t -= u
+        t += b
+        return float(t.sum() + self._zero_row_mass)
 
     def grad(self, x) -> np.ndarray:
         _, ratio = self._point(x, self._live_A, self._live_b)
-        return np.asarray(self._live_A.T @ ratio).ravel()
+        return np.asarray(self._live_AT @ ratio).ravel()
 
 
 class QuadraticLoss:
@@ -401,7 +416,9 @@ def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:
         return 0.0 if (x >= lo).all() and (x <= hi).all() else np.inf
 
     return NonsmoothTerm(value=value,
-                         prox=lambda y, gamma: np.clip(y, lo, hi),
+                         # np.clip's ufunc without its wrapper; unlike
+                         # np.minimum(np.maximum(...)) it keeps signed zeros
+                         prox=lambda y, gamma: y.clip(lo, hi),
                          kind="box", params={"lo": lo, "hi": hi})
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anderson import AAConfig, AndersonEngine, _norm, _stop
+from .anderson import AAConfig, AndersonEngine, _finite, _norm, _stop
 from .problems import PROJECTION_KINDS, CompositeProblem, DomainError
 
 __all__ = [
@@ -92,17 +92,18 @@ def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
 
 def _descent_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
     """descent_check in the loop's guard signature."""
-    return descent_check(f_test, f_curr, float(np.dot(grad, grad)), gamma)
+    return descent_check(f_test, f_curr, float(grad.dot(grad)), gamma)
 
 
 def _value_or_inf(f, x) -> float:
-    """f.value(x), or inf where x is not finite or f raises DomainError.
+    """f.value(x), or inf where x is not finite (anderson._finite) or f
+    raises DomainError.
 
     Called inside the loop's errstate, so overflow and invalid operations
     inside f are not warned about: the guard rejects the inf or nan they
     produce like any other failed candidate.
     """
-    if np.isfinite(x).all():
+    if _finite(x):
         try:
             return f.value(x)
         except DomainError:
@@ -130,14 +131,17 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     the segment from g to y_ext brackets the guard, is the halfway point
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
     step when it passes. The window is kept across rejections. A candidate
-    that is not finite, or whose f raises DomainError, has f_test = inf.
+    that is not finite, or whose f raises DomainError, has f_test = inf;
+    finiteness is one dot x^T x (anderson._finite), and each entry is
+    tested only where that dot is not finite.
     A row records f(x) + h(x) at its x, which is always a to_primal output;
     where h's kind is in PROJECTION_KINDS, a finite x lies in h's set, so
     the row records f(x) alone and h is never called.
     The first row whose objective is not finite records inf and ends the
-    run as "degenerate". The loop runs under one np.errstate that ignores
-    overflow and invalid operations, so a run that overflows is reported
-    as "degenerate", not warned about.
+    run as "degenerate". The step g is formed in the buffer of gamma grad,
+    so grad itself is never written. The loop runs under one np.errstate
+    that ignores overflow and invalid operations, so a run that overflows
+    is reported as "degenerate", not warned about.
     With kept iterates, x_plain is recorded on every row: None on the first
     and on an unguarded "AA" row, x on a later plain row.
     """
@@ -151,7 +155,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max(max_iters, 1)):  # the first step is always taken
             grad = f.grad(x)
-            g = mirror(x) - gamma * grad
+            g = gamma * grad
+            np.subtract(mirror(x), g, out=g)
             rn = _norm(g - y if engine is None else engine.push(g, y))
             if k and _stop(rn, g, tol):
                 termination = "tol"
@@ -171,7 +176,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                     x, y, f_next, kind = x_test, y_ext, f_test, "AA"
                 else:
                     x_next, y, kind = x_plain, g, "fallback"
-                    if bracketed and np.isfinite(x_plain).all():
+                    if bracketed and _finite(x_plain):
                         # the fallback needs this value anyway
                         f_next = f.value(x_plain)
                         if guard(f_next, f_curr, grad, x_plain, x, gamma):
@@ -184,7 +189,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                                     x_half, y_half, f_half, "damped")
                     x = x_next
             if f_next is None:
-                f_next = f.value(x) if np.isfinite(x).all() else np.inf
+                f_next = f.value(x) if _finite(x) else np.inf
             f_curr = objective = f_next
             # a finite f_curr was taken at a finite x
             if not projected and math.isfinite(f_curr):
@@ -192,7 +197,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             if not math.isfinite(objective):
                 termination, objective = "degenerate", np.inf
             elapsed = time.perf_counter() - start
-            trace.record(objective, rn, kind, elapsed, x=x, x_plain=x_plain)
+            trace.record(objective, rn, kind, elapsed, x, x_plain)
             if termination == "degenerate":
                 break
 
@@ -283,11 +288,15 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     with np.errstate(over="ignore", invalid="ignore"):
         # the first step is always taken
         for k in range(1, max(max_iters, 1) + 1):
-            z = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
-            x_next = problem.h.prox(z - gamma * problem.f.grad(z), gamma)
+            z = x - x_prev
+            z *= (k - 1.0) / (k + 2.0)
+            z += x
+            step = gamma * problem.f.grad(z)
+            np.subtract(z, step, out=step)
+            x_next = problem.h.prox(step, gamma)
             rn = _norm(x_next - x) / gamma
             x_prev, x = x, x_next
-            if not np.isfinite(x).all():
+            if not _finite(x):
                 objective = np.inf
             elif projected:  # x is a prox output, so h(x) = 0
                 objective = float(problem.f.value(x))
@@ -295,7 +304,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
                 objective = problem.objective(x)
             finite = math.isfinite(objective)
             trace.record(objective if finite else np.inf, rn, "plain",
-                         time.perf_counter() - start, x=x)
+                         time.perf_counter() - start, x)
             if not finite:
                 termination = "degenerate"
                 break

@@ -650,6 +650,45 @@ class TestRunAnderson:
         assert rep.termination == "degenerate"
         assert calls == [] and len(rep.residual_norms) == 0
 
+    def test_an_iterate_whose_square_overflows_is_mapped(self):
+        # entries near 1e200, where x^T x overflows: the run is the
+        # unit-scale run times a power of two, every map value included
+        scale = 2.0 ** 664
+        c = np.array([1.0, -2.0, 0.5])
+        unit = run_anderson(lambda x: 0.5 * x + c, np.zeros(3),
+                            AAConfig(m=0), max_iters=20)
+        calls = []
+        g = lambda x: (calls.append(1), 0.5 * x + scale * c)[1]
+        rep = run_anderson(g, np.zeros(3), AAConfig(m=0), max_iters=20)
+        assert rep.termination == "max_iters"
+        assert len(calls) == 20
+        assert np.array_equal(rep.xs, scale * unit.xs)
+        with np.errstate(over="ignore"):
+            assert rep.xs[-1].dot(rep.xs[-1]) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_entry_ends_the_run_unmapped(self, bad):
+        # the third map value holds one bad entry; the window's solve falls
+        # back to the plain step, so the next iterate holds it too and the
+        # map is not called there
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            out = 0.5 * x + 1.0
+            if len(calls) == 3:
+                out[1] = bad
+            return out
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_anderson(g, np.zeros(3), AAConfig(m=2), max_iters=10)
+        assert caught == []
+        assert rep.termination == "degenerate"
+        assert len(calls) == 3
+        assert np.array_equal(rep.xs[-1][1], bad, equal_nan=True)
+
     def test_first_step_is_taken_even_at_a_fixed_point(self):
         # the stopping test starts at the second residual, as in the
         # proximal gradient drivers

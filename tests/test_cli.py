@@ -435,6 +435,48 @@ class TestMain:
             main(["run", "--config", "cfg.json"])
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("problem, flags", [
+        ("kl_l1", ["--mu", "0.5", "--method", "bpg", "--synth", "30,10"]),
+        ("quadratic", ["--mu", "0.5"]),
+        ("counterexample", ["--mu", "1e-300"]),
+        ("nnls", ["--lambda", "0.01", "--synth", "30,10"]),
+        ("logreg_box", ["--lambda", "0", "--synth", "30,10"]),
+        ("quadratic", ["--lambda", "0.001"]),
+        ("counterexample", ["--lambda", "0.01"]),
+    ], ids=["mu_kl_l1", "mu_quadratic", "mu_counterexample", "lam_nnls",
+            "lam_logreg_box", "lam_quadratic", "lam_counterexample"])
+    def test_settings_the_problem_does_not_use_write_nothing(
+            self, tmp_path, problem, flags):
+        # each was accepted and then ignored: the run wrote the trace of
+        # the setting's default
+        out = tmp_path / "o"
+        name = "mu" if "--mu" in flags else "lam"
+        with pytest.raises(ValueError, match="^%s is the .* weight of .*"
+                           "problem %r has none" % (name, problem)):
+            main(["run", "--problem", problem, *flags, "--max-iters", "5",
+                  "--out", str(out)])
+        assert not out.exists()
+
+    def test_a_lam_set_in_json_is_rejected_on_nnls(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": "nnls", "lam": 0.001,
+                                        "synth": [30, 10]}))
+        with pytest.raises(ValueError, match="problem 'nnls' has none"):
+            main(["run", "--config", str(cfg_path), "--out",
+                  str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    def test_unset_weights_are_accepted_everywhere(self):
+        # lam is unset but on kl_l1, where it defaults to 0.001; mu = 0 is
+        # the default and has nothing to set
+        for problem in ("logreg_box", "nnls", "quadratic", "counterexample"):
+            cfg = ExperimentConfig(problem=problem, mu=0.0)
+            assert cfg.lam is None
+        cfg = ExperimentConfig(problem="kl_l1", methods=["bpg"], mu=0.0,
+                               synth=(30, 10))
+        assert cfg.lam == 0.001
+        assert assemble_problem(cfg).problem.h.params["lam"] == 0.001
+
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",

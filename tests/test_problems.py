@@ -185,6 +185,30 @@ class TestLogisticOracle:
             assert_allclose(value, ref_value, rtol=1e-14)
             assert_allclose(grad, ref_grad, rtol=1e-14)
 
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_floats_equal_the_wrapper_forms_bit_for_bit(self, fmt):
+        # the value is float(v.sum()) / M, the float v.mean() gives; the
+        # margins come from -y by one product, -|t| from copysign and the
+        # gradient weights times -y, each the float of the sign flips
+        # they replace
+        rng = np.random.default_rng(14)
+        A = 3.0 * rng.standard_normal((300, 8))
+        A[rng.random(A.shape) < 0.3] = 0.0
+        y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+        f = logistic_loss(A if fmt == "dense" else sparse.csr_matrix(A), y,
+                          smoothness=1.0)
+        for scale in (0.0, 1e-3, 1.0, 30.0, 300.0):
+            x = scale * rng.standard_normal(8)
+            t = np.asarray(f.A @ x).ravel() * y
+            np.negative(t, out=t)
+            e = np.exp(np.negative(np.abs(t)))
+            value = float(np.mean(np.maximum(t, 0.0) + np.log1p(e)))
+            w = np.maximum(e, t >= 0.0) / (1.0 + e) * y
+            grad = np.asarray(f.A.T @ np.negative(w)).ravel() / f.M
+            assert f.value(x) == value
+            assert np.array_equal(f.grad(x), grad)
+            assert (np.signbit(f.grad(x)) == np.signbit(grad)).all()
+
     def test_value_and_grad_share_one_product_per_point(self):
         rng = np.random.default_rng(13)
         data = rng.standard_normal((10, 3))
@@ -682,6 +706,18 @@ class TestNonsmoothTerms:
                 box_indicator(lo, hi)
         # a half-infinite box is still a box
         assert box_indicator(0.0, np.inf).value(np.array([3.0])) == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, -0.0),
+                                        (-0.0, 0.0), (0.0, 0.0)])
+    def test_box_prox_is_np_clip_bit_for_bit(self, lo, hi):
+        # signed zeros, nan and infinities at bounds that are themselves
+        # signed zeros; np.minimum(np.maximum(y, lo), hi) would differ here
+        y = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 0.5, 2.0,
+                      -1e-300, 1e-300])
+        x = box_indicator(lo, hi).prox(y, 1.0)
+        ref = np.clip(y, lo, hi)
+        assert np.array_equal(x, ref, equal_nan=True)
+        assert (np.signbit(x) == np.signbit(ref)).all()
 
     @pytest.mark.parametrize("term", [
         box_indicator(-1.0, 1.0), box_indicator(0.0, np.inf),

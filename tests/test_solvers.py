@@ -32,6 +32,7 @@ from aaprox.problems import (
 )
 from aaprox.solvers import (
     IterationTrace,
+    _value_or_inf,
     descent_check,
     pga_step,
     run_aa_pga,
@@ -621,6 +622,98 @@ def test_divergence_is_reported_without_a_warning(driver, rows):
     assert rep.termination == "degenerate"
     assert rep.iterations == rows
     assert rep.trace.objective[-1] == np.inf
+
+
+def far_quadratic(scale, h=None, seed=23, n=6):
+    """f(x) = scale q(x / scale) for a quadratic q near 1 in size: values,
+    gradients and steps of the unit-scale problem, times a power of two.
+    At scale 2^512 and above, x^T x overflows at every x of its runs."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    H = B.T @ B + np.eye(n)
+    c = rng.standard_normal(n)
+    L = float(np.linalg.eigvalsh(H)[-1])
+    loss = QuadraticLoss(H / scale, scale * c, smoothness=L / scale)
+    start = scale * (c + 1e-3 * rng.standard_normal(n))
+    return CompositeProblem(loss, zero_term() if h is None else h, n), start
+
+
+class TestFiniteIterates:
+    """An iterate is tested for inf and nan with one dot, x^T x, and
+    entry by entry only where that dot is not finite."""
+
+    @pytest.mark.parametrize("driver", [run_pga, run_nesterov_pga])
+    def test_an_iterate_whose_square_overflows_is_evaluated(self, driver):
+        # entries near 1e200: a power-of-two scale keeps every float of the
+        # unit-scale run, so each row is exactly 2^664 times its own
+        scale = 2.0 ** 664
+        unit, x0 = far_quadratic(1.0)
+        far, x0_far = far_quadratic(scale)
+        assert np.array_equal(x0_far, scale * x0)
+        ref = driver(unit, x0, max_iters=30)
+        rep = driver(far, x0_far, max_iters=30, keep_iterates=True)
+        assert rep.termination == "max_iters"
+        assert rep.trace.objective == [scale * v for v in ref.trace.objective]
+        assert np.array_equal(rep.x, scale * ref.x)
+        with np.errstate(over="ignore"):
+            assert all(x.dot(x) == np.inf for x in rep.trace.iterates)
+
+    @pytest.mark.parametrize("h", [zero_term(), nonneg_indicator()],
+                             ids=["zero", "nonneg"])
+    def test_guarded_candidates_whose_square_overflows_are_evaluated(self,
+                                                                     h):
+        # at 2^512 the residuals still square to finite numbers, so the
+        # engine proposes and the guard evaluates candidates of that size
+        prob, x0 = far_quadratic(2.0 ** 512, h)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_guarded_aa_pga(prob, x0, aa_config=AAConfig(m=3),
+                                     max_iters=40, keep_iterates=True)
+        assert caught == []
+        assert rep.termination == "max_iters"
+        assert np.isfinite(rep.trace.objective).all()
+        with np.errstate(over="ignore"):
+            assert all(x.dot(x) == np.inf for x in rep.trace.iterates)
+        if h.kind == "zero":
+            assert "AA" in rep.trace.step_kind
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("driver", [run_pga, run_guarded_aa_pga,
+                                        run_nesterov_pga])
+    def test_a_non_finite_entry_ends_the_run_unevaluated(self, driver, bad):
+        # from the fourth prox call on, one entry of each output is bad; f
+        # is never asked its value there, and the row records inf
+        base = quadratic_problem(seed=22)
+        calls = []
+
+        def prox(y, gamma):
+            calls.append(1)
+            if len(calls) < 4:
+                return y
+            out = y.copy()
+            out[1] = bad
+            return out
+
+        h = NonsmoothTerm(value=lambda x: 0.0, prox=prox)
+        prob = CompositeProblem(FiniteOnly(base.f), h, base.n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = driver(prob, np.ones(base.n), max_iters=50)
+        assert caught == []
+        assert rep.termination == "degenerate"
+        assert np.isfinite(rep.trace.objective[:-1]).all()
+        assert rep.trace.objective[-1] == np.inf
+        assert np.array_equal(rep.x[1], bad, equal_nan=True)
+
+    def test_value_or_inf_takes_the_exact_test_after_the_dot(self):
+        # outside any errstate: the test itself warns about nothing
+        prob, x0 = far_quadratic(2.0 ** 664)
+        assert _value_or_inf(prob.f, x0) == prob.f.value(x0)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones(prob.n)
+            x[-1] = bad
+            assert _value_or_inf(FiniteOnly(prob.f), x) == np.inf
 
 
 @pytest.mark.parametrize("driver", [run_pga, run_nesterov_pga, run_aa_pga,
