@@ -323,19 +323,36 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
     return f_test <= bound
 
 
+def _settled(x, g, y):
+    """Coordinates settled on the boundary of the nonnegative orthant, or
+    None: x_i <= 1e-8 max_j x_j with the mirror step still pointing into
+    the boundary, g_i < y_i. The threshold is relative, so scaling x moves
+    no coordinate in or out. Rows with no small x_i cost one reduction, one
+    compare and one any.
+    """
+    low = x <= 1e-8 * x.max()
+    if not low.any():
+        return None
+    low &= g < y
+    return low if low.any() else None
+
+
 def _geometry(kern: Kernel, h: NonsmoothTerm):
-    """The kernel's mirror map and the Bregman proximal map back to x."""
-    return kern.grad, lambda y, gamma: bregman_prox(h, kern, gamma,
-                                                    kern.conj_grad(y))
+    """The kernel's mirror map, the Bregman proximal map back to x, and the
+    settled-coordinate mask of _settled for the Shannon kernel (None for
+    every other kernel)."""
+    return (kern.grad,
+            lambda y, gamma: bregman_prox(h, kern, gamma, kern.conj_grad(y)),
+            _settled if kern.name == "shannon" else None)
 
 
 def run_bpg(problem: BregmanProblem, x0, tol: float = 0.0,
             max_iters: int = 1000, keep_iterates: bool = False) -> SolveReport:
     """Plain Bregman proximal gradient from a primal point x0 in int dom phi."""
     x = np.asarray(x0, dtype=float)
+    mirror, to_primal, _ = _geometry(problem.kernel, problem.h)
     return _proximal_gradient(problem, x, problem.kernel.grad(x),
-                              problem.gamma, *_geometry(problem.kernel,
-                                                        problem.h), tol=tol,
+                              problem.gamma, mirror, to_primal, tol=tol,
                               max_iters=max_iters, keep_iterates=keep_iterates)
 
 
@@ -356,6 +373,14 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     is the mirror(x) of the step, and after a fallback phi(x) is the
     phi(x_plain) the previous row's guard computed, remembered by object
     identity.
+    Under the Shannon kernel, extrapolation runs on the live support only.
+    A coordinate is settled when x_i <= 1e-8 max_j x_j and its mirror step
+    still points into the boundary (g_i < y_i, that is df/dx_i > 0 for
+    h = 0). Settled coordinates push a zero residual and take the plain map
+    value g_i after mixing, so their mirror variables stop steering the
+    window. The recorded residual, which tol tests, leaves them out: it is
+    the KKT residual. A row with no settled coordinate is the unmasked
+    row, and every other kernel runs unmasked.
     """
     if aa_config is None:
         aa_config = AAConfig(m=5)
@@ -369,10 +394,11 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     # previous row must outlive this row's x_plain and x: three slots
     kern = replace(kern, value=_IdentityMemo(kern.value, 3),
                    grad=_IdentityMemo(kern.grad))
-    mirror, to_primal = _geometry(kern, problem.h)
+    mirror, to_primal, settled = _geometry(kern, problem.h)
     y = np.asarray(y0, dtype=float)
     return _proximal_gradient(problem, to_primal(y, problem.gamma), y,
                               problem.gamma, mirror, to_primal,
                               partial(bregman_descent_check, kernel=kern),
-                              AndersonEngine(y.size, aa_config), tol=tol,
+                              AndersonEngine(y.size, aa_config),
+                              settled=settled, tol=tol,
                               max_iters=max_iters, keep_iterates=keep_iterates)

@@ -8,7 +8,9 @@ plain step, one candidate halfway between the two is tried before falling
 back; a step taken there is recorded as "damped".
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
 fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
-row per iterate produced, and report how they stopped. Each run ignores
+row per iterate produced, and report how they stopped. Guarded BPG under the
+Shannon kernel records and stops on r_k with its settled coordinates (those
+at the boundary, see aaprox.bregman) set to 0. Each run ignores
 floating-point overflow and invalid operations: a run whose objective
 overflows ends as "degenerate" with an inf row instead of warning.
 """
@@ -113,7 +115,7 @@ def _value_or_inf(f, x) -> float:
 
 def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                        guard=None, engine: AndersonEngine | None = None,
-                       bracketed: bool = False, tol: float = 0.0,
+                       bracketed: bool = False, settled=None, tol: float = 0.0,
                        max_iters: int = 1000,
                        keep_iterates: bool = False) -> SolveReport:
     """The proximal gradient loop behind the pga and bpg drivers.
@@ -144,6 +146,11 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     is reported as "degenerate", not warned about.
     With kept iterates, x_plain is recorded on every row: None on the first
     and on an unguarded "AA" row, x on a later plain row.
+    settled(x, g, y), when given, returns a boolean mask of coordinates left
+    out of the extrapolation, or None. A row with a mask pushes a zero
+    residual there (y takes g's entries) and writes g's entries into the
+    mixed point; that masked residual is the one recorded and tested
+    against tol. A row whose mask is None pushes g and y unchanged.
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
@@ -157,12 +164,18 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             grad = f.grad(x)
             g = gamma * grad
             np.subtract(mirror(x), g, out=g)
+            mask = None if settled is None else settled(x, g, y)
+            if mask is not None:  # a zero residual on settled coordinates
+                y = np.where(mask, g, y)
             rn = _norm(g - y if engine is None else engine.push(g, y))
             if k and _stop(rn, g, tol):
                 termination = "tol"
                 break
             x_plain, f_next, kind = None, None, "plain"
             y_ext = g if engine is None else engine.extrapolate()[0]
+            if mask is not None and y_ext is not g:
+                # a mixed point is a new array: write the plain values in
+                np.copyto(y_ext, g, where=mask)
             if y_ext is g:
                 y, x = g, to_primal(g, gamma)
                 x_plain = x if k else None
