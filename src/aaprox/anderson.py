@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,48 +74,70 @@ class AAConfig:
 class ResidualHistory:
     """Sliding window over the last m + 1 (map value, residual) pairs.
 
-    Index 0 is the newest pair. Pushing at capacity evicts the oldest. Each
-    pushed 1-D array is kept, uncopied, as an (n, 1) column view, so one
-    np.concatenate builds the newest-first (n, p) matrix with the values and
-    the C-ordered layout np.column_stack gives. newest() returns the pushed
-    map value itself.
+    Index 0 is the newest pair. Pushing at capacity evicts the oldest. The
+    pairs are copied into two C-ordered (n, m + 1) buffers, one for the map
+    values and one for the residuals, allocated at the first push as one
+    block and kept newest first: a push moves the block one entry along its
+    flat memory, one contiguous copy that shifts every row right and drops
+    the oldest column, and writes the new pair into column 0. residuals()
+    and combine() then work on (n, p) views of the buffers, which have the
+    values np.column_stack gives. newest() returns the pushed map value
+    itself.
     """
 
     def __init__(self, m: int):
         if m < 0:
             raise ValueError("window depth m must be nonnegative")
         self.capacity = m + 1
-        self._g: deque[np.ndarray] = deque(maxlen=self.capacity)
-        self._r: deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._g: np.ndarray | None = None
+        self._r: np.ndarray | None = None
+        self._len = 0
         self._newest: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._g)
+        return self._len
 
     def push(self, g_val: np.ndarray, residual: np.ndarray) -> None:
-        self._g.appendleft(g_val[:, None])
-        self._r.appendleft(residual[:, None])
+        if self._g is None:
+            block = np.empty((2, g_val.size, self.capacity))
+            flat = block.reshape(-1)
+            self._shift = flat[1:], flat[:-1]
+            self._g, self._r = block
+            self._col0 = self._g[:, 0], self._r[:, 0]
+        # each row moves right by one; its oldest entry lands in column 0
+        # of the next row, which the new pair overwrites
+        dst, src = self._shift
+        dst[...] = src
+        g_col, r_col = self._col0
+        g_col[...] = g_val
+        r_col[...] = residual
+        self._len = min(self._len + 1, self.capacity)
         self._newest = g_val
 
     def drop_oldest(self) -> None:
-        if not self._g:
+        if not self._len:
             raise IndexError("history is empty")
-        self._g.pop()
-        self._r.pop()
+        self._len -= 1
 
     def newest(self) -> np.ndarray:
-        if not self._g:
+        if not self._len:
             raise IndexError("history is empty")
         return self._newest
 
+    def residuals(self) -> np.ndarray:
+        """Residuals as columns, newest first: a view the next push
+        overwrites."""
+        return self._r[:, :self._len]
+
     def residual_matrix(self) -> np.ndarray:
-        """Residuals as columns, newest first."""
-        return np.concatenate(self._r, axis=1)
+        """Residuals as columns, newest first, in a C-ordered copy."""
+        return self.residuals().copy()
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        if len(alpha) != len(self._g):
+        """The map values times alpha, newest first, as a new array."""
+        if len(alpha) != self._len:
             raise ValueError("coefficient length does not match history length")
-        return np.concatenate(self._g, axis=1) @ alpha
+        return self._g[:, :self._len] @ alpha
 
 
 def solve_coefficients(residuals: np.ndarray,
@@ -324,7 +345,7 @@ class AndersonEngine:
     def _solve(self) -> ExtrapolationCoefficients:
         if self.window is not None:
             return self.window.solve_coefficients(self.config.reg_scale)
-        return solve_coefficients(self.history.residual_matrix(),
+        return solve_coefficients(self.history.residuals(),
                                   self.config.reg_scale)
 
     def coefficients(self) -> ExtrapolationCoefficients:

@@ -87,8 +87,13 @@ def shannon_kernel() -> Kernel:
     """phi(x) = sum x_i log x_i on the nonnegative orthant, 0 log 0 = 0."""
 
     def value(x):
+        # one min() settles both tests unless it is nan, where the
+        # entrywise domain test and the zero mask decide as before
         x = np.asarray(x, dtype=float)
-        if (x < 0).any():
+        low = x.min(initial=np.inf)
+        if low > 0:
+            return float((x * np.log(x)).sum())
+        if low < 0 or (low != low and (x < 0).any()):
             raise DomainError("shannon kernel needs x >= 0")
         return float(_xlogx(x).sum())
 
@@ -318,8 +323,10 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
     passes one that remembers them, so grad phi(x) is the step's mirror(x)
     and phi(x) the previous row's phi(x_plain) after a fallback.
     """
-    bound = (f_curr + float(grad_curr.dot(x_plain - x_curr))
-             + bregman_distance(kernel, x_plain, x_curr) / gamma)
+    step = x_plain - x_curr  # for both the gradient term and D_phi
+    distance = float(kernel.value(x_plain) - kernel.value(x_curr)
+                     - kernel.grad(x_curr).dot(step))
+    bound = f_curr + float(grad_curr.dot(step)) + distance / gamma
     return f_test <= bound
 
 
@@ -368,6 +375,10 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     surrogate descent test against the plain step taken from the current
     iterate; rejected rounds fall back to that plain step. Candidates whose
     objective is not finite fail the test and are rejected the same way.
+    f is assumed convex, as in the paper: a candidate x_c whose lower bound
+    f(x) + <grad f(x), x_c - x> already fails the test is rejected without
+    evaluating f. For a nonconvex f that can only turn an acceptance into
+    a fallback, the safe plain step, so the guarantee stands.
     Steps with plain mixing weights are untested "plain" steps, so depth 0
     reproduces run_bpg. The guard reuses the step's kernel work: grad phi(x)
     is the mirror(x) of the step, and after a fallback phi(x) is the

@@ -5,7 +5,9 @@ one loop, _proximal_gradient, parameterised by geometry (a mirror map and the
 map back to the primal point) and guard; the momentum driver has its own.
 Where the Euclidean guard rejects an extrapolated candidate but passes the
 plain step, one candidate halfway between the two is tried before falling
-back; a step taken there is recorded as "damped".
+back; a step taken there is recorded as "damped". f is assumed convex, so
+a candidate whose lower bound from f(x) and grad f(x) already fails the
+guard is rejected without evaluating f there.
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
 fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
 row per iterate produced, and report how they stopped. Guarded BPG under the
@@ -22,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .anderson import AAConfig, AndersonEngine, _finite, _norm, _stop
 from .problems import PROJECTION_KINDS, CompositeProblem, DomainError
@@ -113,6 +116,30 @@ def _value_or_inf(f, x) -> float:
     return np.inf
 
 
+def _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma) -> bool:
+    """Whether the guard rejects x_test on a lower bound of f(x_test).
+
+    For convex f, f(x_test) >= f(x) + <grad f(x), x_test - x>, and each
+    guard accepts exactly when its f_test is at most a bound. So a guard
+    that rejects the lower bound, less a rounding margin of
+    1e-9 max(1, |f(x)|), rejects f(x_test) too, and f need not be
+    evaluated. A non-finite x_test gives a nan or inf bound, which the
+    guard rejects as it rejects the inf f_test of _value_or_inf. The dot is
+    scipy's BLAS wrapper ddot, as in anderson._finite.
+    """
+    lower = f_curr + ddot(grad, x_test - x) - 1e-9 * max(1.0, abs(f_curr))
+    return not guard(lower, f_curr, grad, x_plain, x, gamma)
+
+
+def _candidate_value(f, guard, x_test, f_curr, grad, x_plain, x,
+                     gamma) -> float:
+    """The f_test the guard judges x_test by: inf where _bound_rejects
+    already decides the rejection, otherwise _value_or_inf(f, x_test)."""
+    if _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma):
+        return np.inf
+    return _value_or_inf(f, x_test)
+
+
 def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                        guard=None, engine: AndersonEngine | None = None,
                        bracketed: bool = False, settled=None, tol: float = 0.0,
@@ -132,8 +159,13 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     fallback needs anyway); only if x_plain passes the same guard, so that
     the segment from g to y_ext brackets the guard, is the halfway point
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
-    step when it passes. The window is kept across rejections. A candidate
-    that is not finite, or whose f raises DomainError, has f_test = inf;
+    step when it passes. The window is kept across rejections. f is
+    assumed convex: before f is evaluated at either candidate, the guard is
+    asked about its lower bound f(x) + <grad f(x), x_c - x>
+    (_bound_rejects), and a candidate whose bound is rejected has
+    f_test = inf without a call to f. For a nonconvex f that can only turn
+    an acceptance into a fallback, the safe step. A candidate that is not
+    finite, or whose f raises DomainError, has f_test = inf;
     finiteness is one dot x^T x (anderson._finite), and each entry is
     tested only where that dot is not finite.
     A row records f(x) + h(x) at its x, which is always a to_primal output;
@@ -184,7 +216,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             else:
                 x_plain = to_primal(g, gamma)
                 x_test = to_primal(y_ext, gamma)
-                f_test = _value_or_inf(f, x_test)
+                f_test = _candidate_value(f, guard, x_test, f_curr, grad,
+                                          x_plain, x, gamma)
                 if guard(f_test, f_curr, grad, x_plain, x, gamma):
                     x, y, f_next, kind = x_test, y_ext, f_test, "AA"
                 else:
@@ -195,7 +228,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                         if guard(f_next, f_curr, grad, x_plain, x, gamma):
                             y_half = g + 0.5 * (y_ext - g)
                             x_half = to_primal(y_half, gamma)
-                            f_half = _value_or_inf(f, x_half)
+                            f_half = _candidate_value(
+                                f, guard, x_half, f_curr, grad, x_plain, x,
+                                gamma)
                             if guard(f_half, f_curr, grad, x_plain, x,
                                      gamma):
                                 x_next, y, f_next, kind = (
@@ -264,9 +299,15 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     and, if it passes, taken as a "damped" step; otherwise the plain step is
     taken as a "fallback". Steps with plain mixing weights are "plain"
     steps at a run_pga step's cost; any other costs one extra prox, and a
-    rejected one also an extra f evaluation; a halfway try costs one more
-    prox and one more f evaluation. The residual window is kept across
+    rejected one also an extra f evaluation, only when its lower bound does
+    not decide it; a halfway try costs one more prox and, on the same
+    terms, one more f evaluation. The residual window is kept across
     rejections.
+    f is assumed convex, as in the paper, so f(x) + <grad f(x), x_c - x>
+    bounds f below at a candidate x_c; a candidate whose bound already
+    fails the guard is rejected without evaluating f. For a nonconvex f
+    that can only turn an acceptance into a fallback, the safe plain step,
+    so the guarantee stands.
     """
     return _run_euclidean(problem, x0, gamma,
                           AAConfig(m=5) if aa_config is None else aa_config,

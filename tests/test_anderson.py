@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from aaprox import anderson
 from aaprox.anderson import (
     AAConfig,
     AndersonEngine,
@@ -585,6 +586,58 @@ def test_engine_floats_match_a_textbook_reference(n, config):
         assert eng.degenerate_count > 0
     if config.m_alpha < math.inf:
         assert resets > 0
+
+
+
+def test_window_buffers_match_column_stacking_through_a_lifecycle(
+        monkeypatch):
+    # one engine fills its window, evicts, drops its oldest entry on a
+    # degenerate solve and refills; then an engine of another size. The
+    # solve and the mixing are the module attributes the benchmark tracer
+    # wraps, looked up at call time
+    solves, combines = [], []
+    solve, combine = anderson.solve_coefficients, ResidualHistory.combine
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def counted_combine(self, alpha):
+        combines.append(1)
+        return combine(self, alpha)
+
+    monkeypatch.setattr(anderson, "solve_coefficients", counted_solve)
+    monkeypatch.setattr(ResidualHistory, "combine", counted_combine)
+    config = AAConfig(m=3, reg_scale=0.0)
+    for n, seed in ((40, 30), (7, 31)):
+        rng = np.random.default_rng(seed)
+        eng, ref = AndersonEngine(n, config), TextbookEngine(config)
+        lengths = []
+        pushed = []
+        for k in range(20):
+            if k not in (8, 9):  # pushes 9 and 10 repeat push 8
+                y = rng.standard_normal(n)
+                g_val = y + 0.1 * rng.standard_normal(n)
+            eng.push(g_val, y)
+            ref.push(g_val, y)
+            pushed.append(g_val)
+            x_next, coeffs = eng.extrapolate()
+            x_ref, alpha_ref = ref.extrapolate()
+            lengths.append(len(eng))
+            assert len(eng) == len(ref.gs)
+            assert np.array_equal(coeffs.alpha, alpha_ref)
+            assert np.array_equal(x_next, x_ref)
+            if x_next is not g_val:  # a mixed point is a new array
+                assert not any(np.shares_memory(x_next, v) for v in pushed)
+                assert not np.shares_memory(x_next, eng.history.residuals())
+            R = eng.history.residual_matrix()
+            assert R.flags.c_contiguous
+            assert np.array_equal(R, np.column_stack(ref.rs))
+        # filled, evicted at capacity, shortened, and filled again
+        assert lengths[:4] == [1, 2, 3, 4] and lengths[4:8] == [4] * 4
+        assert min(lengths[8:]) < 4 and lengths[-1] == 4
+        assert eng.degenerate_count == ref.degenerate > 0
+    assert len(solves) > 40 and combines
 
 
 class TestRunAnderson:

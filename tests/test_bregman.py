@@ -120,6 +120,16 @@ class TestKernelDomains:
         assert shannon_kernel().value(x) == float(np.sum(terms))
         assert shannon_kernel().value(np.zeros(5)) == 0.0
 
+    def test_shannon_value_on_nan_and_empty_points(self):
+        # a nan hides the sign of the other entries from min(): a negative
+        # one is still refused, and otherwise the nan drops out of the
+        # masked sum, as with the entrywise tests
+        k = shannon_kernel()
+        with pytest.raises(DomainError):
+            k.value(np.array([np.nan, -1.0, 2.0]))
+        assert k.value(np.array([np.nan, 0.0, 2.0])) == 2.0 * np.log(2.0)
+        assert k.value(np.array([])) == 0.0
+
     def test_shannon_domain_checks_hold_on_long_points(self):
         k = shannon_kernel()
         x = np.linspace(0.5, 2.0, 100)

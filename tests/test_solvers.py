@@ -8,15 +8,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from aaprox import problems
-from aaprox.anderson import AAConfig
-from aaprox.counterexample import STEP, grad_f, value_f
-from aaprox.datasets import generate_logreg_instance, generate_nnls_instance
+from aaprox import problems, solvers
+from aaprox.anderson import AAConfig, AndersonEngine
+from aaprox.counterexample import STEP, PiecewiseLoss, grad_f, value_f
+from aaprox.datasets import (
+    generate_kl_instance,
+    generate_logreg_instance,
+    generate_nnls_instance,
+)
 from aaprox.bregman import (
     BregmanProblem,
     energy_kernel,
     run_bpg,
     run_guarded_aa_bpg,
+    shannon_kernel,
 )
 from aaprox.problems import (
     CompositeProblem,
@@ -24,6 +29,7 @@ from aaprox.problems import (
     NonsmoothTerm,
     QuadraticLoss,
     box_indicator,
+    kl_loss,
     l1_term,
     least_squares_loss,
     logistic_loss,
@@ -359,6 +365,26 @@ class CycleLoss:
         return np.atleast_1d(grad_f(x))
 
 
+class DomainLoss:
+    """A loss on the domain x >= -1 that counts what it is asked outside
+    it: DomainError there, and non-finite points."""
+
+    def __init__(self, loss):
+        self.loss = loss
+        self.smoothness = loss.smoothness
+        self.nonfinite = self.domain_errors = 0
+
+    def value(self, x):
+        self.nonfinite += not np.isfinite(x).all()
+        if np.min(x) < -1.0:
+            self.domain_errors += 1
+            raise DomainError("x must be at least -1")
+        return self.loss.value(x)
+
+    def grad(self, x):
+        return self.loss.grad(x)
+
+
 class CountingLoss:
     """Counts f.value calls per driver iteration (one f.grad call each)."""
 
@@ -526,27 +552,57 @@ class TestDampedRetry:
         assert "fallback" in rep.trace.step_kind
         assert "damped" not in rep.trace.step_kind
 
-    def test_oracle_cost_per_row(self):
+    def test_oracle_cost_per_row(self, monkeypatch):
         # near the solution the plain step fails the guard at the active
         # bounds, so most rejections make no retry and cost what they cost
-        # without one: the candidate's value and the plain point's
-        base, x0, gamma, cfg = nonneg_lasso_case()
-        counting = CountingLoss(base.f)
-        prob = CompositeProblem(counting, base.h, base.n)
-        rep = run_guarded_aa_pga(prob, x0, gamma, cfg, max_iters=150,
-                                 keep_iterates=True)
-        costs = counting.values_per_row
-        assert len(costs) == len(rep.trace) == 150
-        seen = set()
-        for k, (kind, cost) in enumerate(zip(rep.trace.step_kind, costs)):
-            if kind == "fallback":
-                kind = ("tried" if plain_passes(base, rep, k)
-                        else "fallback")
-            expected = {"plain": 1, "AA": 1, "fallback": 2, "tried": 3,
-                        "damped": 3}[kind]
-            assert cost == expected, (k, kind)
-            seen.add(kind)
-        assert seen == {"plain", "AA", "fallback", "tried", "damped"}
+        # without one: the candidate's value and the plain point's. A
+        # candidate whose lower bound already fails the guard costs no
+        # value; on this lasso that decides every rejected extrapolation,
+        # and on the cycle, whose candidates jump across the minimum, none
+        probes = []  # (row, decided) per candidate probed, in order
+        probe = solvers._bound_rejects
+        counting = None
+
+        def spy(*args):
+            decided = probe(*args)
+            probes.append((len(counting.values_per_row) - 1, decided))
+            return decided
+
+        monkeypatch.setattr(solvers, "_bound_rejects", spy)
+        rejected = set()  # whether each rejected extrapolation was decided
+        for case, rows, kinds in (
+                (nonneg_lasso_case, 150,
+                 {"plain", "AA", "fallback", "tried", "damped"}),
+                (cycle_case, 6, {"plain", "tried", "damped"})):
+            base, x0, gamma, cfg = case()
+            counting = CountingLoss(base.f)
+            prob = CompositeProblem(counting, base.h, base.n)
+            probes.clear()
+            rep = run_guarded_aa_pga(prob, x0, gamma, cfg, max_iters=150,
+                                     keep_iterates=True)
+            costs = counting.values_per_row
+            assert len(rep.trace) == rows
+            # the cycle stops on tol in a row that records nothing
+            assert costs[rows:] == ([0] if rep.termination == "tol" else [])
+            decided = np.bincount([row for row, hit in probes if hit],
+                                  minlength=rows)
+            first = {}  # the row's extrapolated candidate is probed first
+            for row, hit in probes:
+                first.setdefault(row, hit)
+            seen = set()
+            for k, (kind, cost) in enumerate(zip(rep.trace.step_kind,
+                                                 costs)):
+                if kind == "fallback":
+                    kind = ("tried" if plain_passes(base, rep, k)
+                            else "fallback")
+                expected = {"plain": 1, "AA": 1, "fallback": 2, "tried": 3,
+                            "damped": 3}[kind]
+                assert cost == expected - decided[k], (k, kind)
+                seen.add(kind)
+                if kind not in ("plain", "AA"):
+                    rejected.add(first[k])
+            assert seen == kinds
+        assert rejected == {True, False}
 
     @staticmethod
     def assert_gradient_reuses_the_product(case, products):
@@ -575,6 +631,151 @@ class TestDampedRetry:
         self.assert_gradient_reuses_the_product(
             (CompositeProblem(f, base.h, base.n), x0, gamma, cfg), products)
 
+
+
+# Guarded runs for the lower-bound probe (solvers._bound_rejects): the
+# acceptance instances at shortened budgets, the nonnegative lasso, the
+# counterexample loss, and CSR logistic with a box term. PROBE_CASES maps
+# each name to a function returning (f, run), run being a zero-argument solve.
+AA5 = AAConfig(m=5, reg_scale=1e-10)
+
+
+def _guarded_pga(prob, x0, rows, cfg=AA5, gamma=None):
+    return prob.f, partial(run_guarded_aa_pga, prob, x0, gamma, cfg,
+                           max_iters=rows)
+
+
+def _guarded_kl(M, n, seed, density, noise, rows):
+    data = generate_kl_instance(M, n, seed=seed, density=density, noise=noise)
+    f = kl_loss(data.A, data.b)
+    gamma = 1.0 / f.smoothness
+    prob = BregmanProblem(shannon_kernel(), f, zero_term(), gamma, n)
+    ones = np.ones(n)
+    y0 = prob.kernel.grad(ones) - gamma * f.grad(ones)
+    return f, partial(run_guarded_aa_bpg, prob, y0, AA5, max_iters=rows)
+
+
+def _logreg_case():
+    data = generate_logreg_instance(200, 100, seed=0, cond=1e5)
+    f = logistic_loss(data.A, data.b, mu=1e-5)
+    return _guarded_pga(CompositeProblem(f, box_indicator(-20.0, 20.0), 100),
+                        np.zeros(100), 400)
+
+
+def _nnls_case():
+    data = generate_nnls_instance(200, 100, seed=1, cond=1e3)
+    f = least_squares_loss(data.A, data.b)
+    return _guarded_pga(CompositeProblem(f, nonneg_indicator(), 100),
+                        np.zeros(100), 1000)
+
+
+def _csr_logreg_box_case():
+    A = sparse.random(2000, 200, density=0.02, random_state=0, format="csr")
+    b = np.random.default_rng(0).choice([-1.0, 1.0], size=2000)
+    f = logistic_loss(A, b)
+    return _guarded_pga(CompositeProblem(f, box_indicator(-1.0, 1.0), 200),
+                        np.zeros(200), 200)
+
+
+def _counterexample_case():
+    # from outside the cycle's basin, where some candidates overshoot far
+    # enough for their lower bound to fail the guard
+    prob = CompositeProblem(PiecewiseLoss(), zero_term(), 1)
+    return _guarded_pga(prob, np.array([-200.0]), 100,
+                        AAConfig(m=5, reg_scale=0.0), STEP)
+
+
+PROBE_CASES = {
+    "logreg": _logreg_case,
+    "nnls": _nnls_case,
+    "kl_small": partial(_guarded_kl, 100, 50, 2, 1.0, 0.05, 1000),
+    "kl_hard": partial(_guarded_kl, 500, 50, 3, 0.5, 0.1, 1000),
+    "nonneg_lasso": lambda: _guarded_pga(*nonneg_lasso_case()[:2], 150),
+    "counterexample": _counterexample_case,
+    "csr_logreg_box": _csr_logreg_box_case,
+}
+
+
+class TestBoundProbe:
+    """A candidate whose convex lower bound fails the guard skips f."""
+
+    @pytest.mark.parametrize("name", sorted(PROBE_CASES))
+    def test_a_decided_candidate_fails_the_guard_on_its_value(
+            self, name, monkeypatch):
+        probe = solvers._bound_rejects
+        decided, probed = [], []
+
+        def spy(*args):
+            hit = probe(*args)
+            probed.append(hit)
+            if hit:
+                decided.append(args)
+            return hit
+
+        monkeypatch.setattr(solvers, "_bound_rejects", spy)
+        f, run = PROBE_CASES[name]()
+        run()
+        assert probed
+        # every instance but logreg, whose candidates mostly descend, has
+        # rejections the probe decides
+        assert (name == "logreg") == (not decided)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for guard, f_curr, grad, x_test, x_plain, x, gamma in decided:
+                f_test = _value_or_inf(f, x_test)
+                assert not guard(f_test, f_curr, grad, x_plain, x, gamma)
+
+    @pytest.mark.parametrize("name", sorted(PROBE_CASES))
+    def test_the_probe_changes_no_float(self, name, monkeypatch):
+        _, run = PROBE_CASES[name]()
+        ref = run()
+        monkeypatch.setattr(solvers, "_bound_rejects", lambda *args: False)
+        rep = run()
+        assert rep.trace.objective == ref.trace.objective
+        assert rep.trace.residual == ref.trace.residual
+        assert rep.trace.step_kind == ref.trace.step_kind
+        assert np.array_equal(rep.x, ref.x)
+
+    @pytest.mark.parametrize("probing", [True, False],
+                             ids=["probe", "no_probe"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -5.0],
+                             ids=["inf", "nan", "domain"])
+    def test_a_bad_candidate_falls_back_quietly(self, bad, probing,
+                                                monkeypatch):
+        # every extrapolated candidate gets one bad entry: inf, nan, or one
+        # outside the loss's domain x >= -1. With the identity prox it
+        # reaches f, so each row falls back to the plain step and the run
+        # is run_pga's, whether the probe or f's value rejects it
+        base = lasso_problem(seed=3)
+        loss = DomainLoss(base.f)
+        prob = CompositeProblem(loss, zero_term(), base.n)
+        x0 = np.zeros(base.n)
+        extrapolate = AndersonEngine.extrapolate
+
+        def spoiled(engine):
+            y_ext, coeffs = extrapolate(engine)
+            if len(engine) < 2:  # the first step is plain
+                return y_ext, coeffs
+            y_bad = y_ext.copy()
+            y_bad[0] = bad
+            return y_bad, coeffs
+
+        monkeypatch.setattr(AndersonEngine, "extrapolate", spoiled)
+        if not probing:
+            monkeypatch.setattr(solvers, "_bound_rejects",
+                                lambda *args: False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_guarded_aa_pga(prob, x0, aa_config=AAConfig(m=3),
+                                     max_iters=30)
+        assert caught == []
+        ref = run_pga(CompositeProblem(base.f, zero_term(), base.n), x0,
+                      max_iters=30)
+        assert rep.trace.step_kind == ["plain"] + ["fallback"] * 29
+        assert rep.trace.objective == ref.trace.objective
+        assert np.array_equal(rep.x, ref.x)
+        # f is only asked at finite points; outside its domain it raises
+        assert loss.nonfinite == 0
+        assert (loss.domain_errors > 0) == (bad == -5.0)
 
 def test_an_overflowing_first_step_ends_the_run_quietly():
     # the first step is plain, and its objective overflows: the run reports
