@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.blas import ddot
 
 __all__ = [
@@ -156,34 +157,44 @@ def solve_coefficients(residuals: np.ndarray,
     constrained minimizer is still unique (then the plain normal solve is
     singular even though the problem is not). The bordered matrix is filled
     in place: the Gram block is R.T @ R and lam goes on its diagonal only.
+    It is solved by numpy's solve1, the gufunc np.linalg.solve calls for a
+    1-D right-hand side, called directly: the same LAPACK dgesv and the
+    same floats, without the wrapper's checks. A 2-D float64 array is used
+    as given; anything else goes through np.asarray first.
     A degenerate system (factorization failure, nonfinite solution, or a
     multiplier beyond 1e300, which is sum(z) below 1e-300 in the normalized
     form) yields the pure fixed-point coefficients with the degenerate flag
-    set.
+    set. A singular system is degenerate without a floating-point warning.
     """
-    R = np.atleast_2d(np.asarray(residuals, dtype=float))
+    R = residuals
+    if not (type(R) is np.ndarray and R.ndim == 2 and R.dtype == np.float64):
+        R = np.atleast_2d(np.asarray(R, dtype=float))
     p = R.shape[1]
     if p == 1:
         # the constraint forces alpha = [1] no matter what R contains
         return ExtrapolationCoefficients(np.ones(1))
-    fro_sq = float((R * R).sum())
+    # (R * R).sum() without its wrapper, as is the sum of alpha below
+    fro_sq = float(np.add.reduce(R * R, axis=None))
     if not math.isfinite(fro_sq) or fro_sq == 0.0:
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
-    kkt = np.ones((p + 1, p + 1))
+    kkt = np.empty((p + 1, p + 1))
+    kkt.fill(1.0)  # np.ones, without its wrapper
     kkt[p, p] = 0.0
-    kkt[:p, :p] = R.T @ R
+    # R.T @ R through the same BLAS route, written into the Gram block
+    np.matmul(R.T, R, out=kkt[:p, :p])
     # every (p + 2)-th entry of the flat matrix is on the diagonal
     kkt.reshape(-1)[:p * (p + 2):p + 2] += reg_scale * fro_sq
     rhs = np.zeros(p + 1)
     rhs[p] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
+    # where np.linalg.solve raises LinAlgError, solve1 gives nan and sets
+    # the invalid flag; the nan takes the degenerate branch below
+    with np.errstate(all="ignore"):
+        sol = _umath_linalg.solve1(kkt, rhs, signature="dd->d")
     alpha = sol[:p]
-    total = float(alpha.sum())
-    if (not np.isfinite(sol).all() or abs(sol[p]) >= 1e300
-            or not 1e-300 <= abs(total) < math.inf):
+    nu = float(sol[p])
+    total = float(np.add.reduce(alpha, axis=None))
+    # a non-finite alpha makes total inf or nan, and a nan nu fails <
+    if not (abs(nu) < 1e300 and 1e-300 <= abs(total) < math.inf):
         return ExtrapolationCoefficients(_pure_fixed_point(p), degenerate=True)
     return ExtrapolationCoefficients(alpha / total)
 
@@ -318,7 +329,8 @@ class AndersonEngine:
     unrescued one twice. The ||alpha||_1 bound is only summed for a finite
     m_alpha. Weights and mixed points equal, bit for bit, those of the
     textbook route: np.column_stack, R^T R + lam I, np.linalg.solve and the
-    stacked map values times alpha.
+    stacked map values times alpha; the solve calls the gufunc behind
+    np.linalg.solve directly, which gives the same floats.
     """
 
     def __init__(self, n: int, config: AAConfig):

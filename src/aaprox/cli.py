@@ -14,6 +14,7 @@ import csv
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -373,10 +374,16 @@ def _cmd_counterexample(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command line. A rejected setting or data file (a ValueError)
+    prints one "aaprox <command>: error: <message>" line to stderr and
+    returns 2, as argparse does for a bad flag."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_counterexample(args)
+    command = _cmd_run if args.command == "run" else _cmd_counterexample
+    try:
+        return command(args)
+    except ValueError as exc:
+        print("aaprox %s: error: %s" % (args.command, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

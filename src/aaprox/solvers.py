@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg.blas import ddot
 
 from .anderson import AAConfig, AndersonEngine, _finite, _norm, _stop
-from .problems import PROJECTION_KINDS, CompositeProblem, DomainError
+from .problems import (PROJECTION_KINDS, CompositeProblem, DomainError,
+                       _IdentityMemo)
 
 __all__ = [
     "IterationTrace",
@@ -95,9 +96,16 @@ def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
     return f_test <= f_curr - 0.5 * gamma * grad_norm_sq
 
 
-def _descent_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
-    """descent_check in the loop's guard signature."""
-    return descent_check(f_test, f_curr, float(grad.dot(grad)), gamma)
+def _descent_guard():
+    """descent_check as the loop's guard, for one run: ||grad f(x)||^2 is
+    worked out once per gradient, not once per guard call. Each call looks
+    descent_check up in this module, so a patched name sees every one."""
+    grad_norm_sq = _IdentityMemo(lambda grad: float(grad.dot(grad)), 1)
+
+    def guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
+        return descent_check(f_test, f_curr, grad_norm_sq(grad), gamma)
+
+    return guard
 
 
 def _value_or_inf(f, x) -> float:
@@ -311,7 +319,7 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     """
     return _run_euclidean(problem, x0, gamma,
                           AAConfig(m=5) if aa_config is None else aa_config,
-                          _descent_guard, tol=tol, max_iters=max_iters,
+                          _descent_guard(), tol=tol, max_iters=max_iters,
                           keep_iterates=keep_iterates)
 
 

@@ -522,6 +522,80 @@ def textbook_coefficients(R, reg_scale):
     return sol[:p] / total
 
 
+def _random_window(rng):
+    """A residual window of one of the shapes solve_coefficients is given,
+    with the reg_scale to solve it at."""
+    n, m = int(rng.integers(1, 201)), int(rng.integers(0, 8))
+    p = int(rng.integers(1, m + 2))
+    # an (n, m + 1) history buffer, columns newest first, as the engine
+    # keeps it; some windows mix column scales from 1e-150 to 1e150
+    scales = 10.0 ** rng.uniform(-150.0, 150.0, m + 1)
+    if rng.random() < 0.75:
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, m + 1)
+    history = rng.standard_normal((n, m + 1)) * scales
+    reg_scale = (0.0, 1e-10, 1e-3)[int(rng.integers(0, 3))]
+    kind = int(rng.integers(0, 6))
+    if kind == 1 and p > 1:  # LAPACK finds the unregularized system singular
+        history[:, 1] = history[:, 0]
+        reg_scale = 0.0
+    elif kind == 2:
+        history[rng.integers(0, n), rng.integers(0, p)] = (
+            np.nan, np.inf, -np.inf)[int(rng.integers(0, 3))]
+    elif kind == 3:  # fro = 0
+        history[:] = 0.0
+    elif kind == 4:  # the reversed triangular factor QrWindow passes
+        r = np.triu(rng.standard_normal((p, p)) * scales[:p])
+        return r[::-1, ::-1], reg_scale
+    elif kind == 5:
+        return history[::-1, ::-1][:, :p], reg_scale
+    return history[:, :p], reg_scale
+
+
+def test_solve_matches_the_textbook_route_bit_for_bit():
+    # solve_coefficients calls numpy.linalg._umath_linalg.solve1, the
+    # private gufunc behind np.linalg.solve; this pins its floats, and its
+    # singular systems, to those of np.linalg.solve
+    rng = np.random.default_rng(2024)
+    seen = {"degenerate": 0, "finite_degenerate": 0, "mixed": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10000):
+            R, reg_scale = _random_window(rng)
+            ref = textbook_coefficients(R, reg_scale)
+            got = solve_coefficients(R, reg_scale)
+            assert got.degenerate == (ref is None)
+            if ref is None:
+                ref = np.eye(R.shape[1])[0]
+                seen["degenerate"] += 1
+                seen["finite_degenerate"] += np.isfinite(R).all() and R.any()
+            else:
+                seen["mixed"] += R.shape[1] > 1
+            assert np.array_equal(got.alpha, ref)
+    assert min(seen.values()) > 100, seen
+
+
+def test_a_singular_window_is_degenerate_without_a_warning():
+    r = np.random.default_rng(0).standard_normal(30)
+    R = np.column_stack([r, r])
+    kkt = np.ones((3, 3))
+    kkt[2, 2] = 0.0
+    kkt[:2, :2] = R.T @ R
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt, np.eye(3)[2])
+    eng = AndersonEngine(30, AAConfig(m=1, reg_scale=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = solve_coefficients(R, 0.0)
+        eng.push(r, np.zeros(30))
+        eng.push(r, np.zeros(30))
+        x_next, retried = eng.extrapolate()
+    assert coeffs.degenerate
+    assert np.array_equal(coeffs.alpha, [1.0, 0.0])
+    # the retry without the oldest entry is the plain step
+    assert eng.degenerate_count == 1 and len(eng) == 1
+    assert not retried.degenerate and x_next is r
+
+
 class TextbookEngine:
     """AndersonEngine's documented behaviour on plain lists, newest first."""
 

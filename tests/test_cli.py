@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def read_trace(path):
         rows = list(csv.DictReader(fh))
     cols = {key: [r[key] for r in rows] for key in rows[0]}
     return rows, cols
+
+
+def refused(argv, capture):
+    """Run main(argv), which must refuse it with exit status 2 and one
+    "aaprox <command>: error:" line on stderr; returns that line's message."""
+    assert main(argv) == 2
+    err = capture.readouterr().err
+    prefix = "aaprox %s: error: " % argv[0]
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert err.endswith("\n")
+    return err[len(prefix):-1]
 
 
 class TestExperimentConfig:
@@ -353,24 +365,24 @@ class TestMain:
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{name: float("inf")})
 
-    def test_rejected_settings_write_nothing(self, tmp_path):
+    def test_rejected_settings_write_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
         for name in ("m", "seed", "mu"):
-            with pytest.raises(ValueError, match="^%s must be at least 0"
-                               % name):
-                main(["run", "--problem", "nnls", "--synth", "50,20",
-                      "--method", "pga", "--" + name, "-1",
-                      "--out", str(out)])
+            message = refused(["run", "--problem", "nnls", "--synth", "50,20",
+                               "--method", "pga", "--" + name, "-1",
+                               "--out", str(out)], capsys)
+            assert re.search("^%s must be at least 0" % name, message)
             assert not out.exists()
 
-    def test_zero_smoothness_without_a_step_writes_nothing(self, tmp_path):
+    def test_zero_smoothness_without_a_step_writes_nothing(self, tmp_path,
+                                                            capsys):
         # an all-zero A has L = 0, so the default step 1/L does not exist
         data = tmp_path / "zeros.csv"
         data.write_text("0,0,1\n0,0,2\n0,0,-1\n")
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match="L of the loss is 0.*--gamma"):
-            main(["run", "--problem", "nnls", "--data", str(data),
-                  "--method", "pga", "--out", str(out)])
+        message = refused(["run", "--problem", "nnls", "--data", str(data),
+                           "--method", "pga", "--out", str(out)], capsys)
+        assert re.search("L of the loss is 0.*--gamma", message)
         assert not out.exists()
 
     @pytest.mark.parametrize("problem, value", [
@@ -383,25 +395,25 @@ class TestMain:
         data.write_text("+1 1:0.8 3:%s\n-1 2:1.5 3:0.3\n+1 1:-0.4 2:0.9\n"
                         % value)
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match="A must hold only finite"):
-            main(["run", "--problem", problem, "--data", str(data),
-                  "--method", "pga", "--out", str(out)])
+        # the error line is all that reaches stderr: no warning comes first
+        message = refused(["run", "--problem", problem, "--data", str(data),
+                           "--method", "pga", "--out", str(out)], capfd)
+        assert re.search("A must hold only finite", message)
         assert not out.exists()
-        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("flags,fields,fragment", [
         (["--method", "pga,pga"], {}, "'pga' is named twice"),
         (["--method", ""], {}, "unknown method ''"),
         ([], {"methods": []}, "at least one method"),
     ], ids=["repeated_flag", "empty_flag", "empty_json"])
-    def test_bad_method_lists_write_nothing(self, tmp_path, flags, fields,
-                                            fragment):
+    def test_bad_method_lists_write_nothing(self, tmp_path, capsys, flags,
+                                            fields, fragment):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(problem="quadratic", **fields)))
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match=fragment):
-            main(["run", "--config", str(cfg_path), *flags,
-                  "--out", str(out)])
+        message = refused(["run", "--config", str(cfg_path), *flags,
+                           "--out", str(out)], capsys)
+        assert re.search(fragment, message)
         assert not out.exists()
 
     @pytest.mark.parametrize("fields, fragment", [
@@ -425,14 +437,14 @@ class TestMain:
             "synth_one", "synth_floats", "synth_str", "methods_str",
             "methods_int_item"])
     def test_json_fields_of_the_wrong_type_write_nothing(
-            self, tmp_path, monkeypatch, fields, fragment):
+            self, tmp_path, monkeypatch, capsys, fields, fragment):
         monkeypatch.chdir(tmp_path)  # where a relative "out" would land
         config = {"problem": "quadratic", "methods": ["pga"], "max_iters": 5,
                   "out": "o"}
         config.update(fields)
         (tmp_path / "cfg.json").write_text(json.dumps(config))
-        with pytest.raises(ValueError, match=fragment):
-            main(["run", "--config", "cfg.json"])
+        message = refused(["run", "--config", "cfg.json"], capsys)
+        assert re.search(fragment, message)
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("problem, flags", [
@@ -446,24 +458,24 @@ class TestMain:
     ], ids=["mu_kl_l1", "mu_quadratic", "mu_counterexample", "lam_nnls",
             "lam_logreg_box", "lam_quadratic", "lam_counterexample"])
     def test_settings_the_problem_does_not_use_write_nothing(
-            self, tmp_path, problem, flags):
+            self, tmp_path, capsys, problem, flags):
         # each was accepted and then ignored: the run wrote the trace of
         # the setting's default
         out = tmp_path / "o"
         name = "mu" if "--mu" in flags else "lam"
-        with pytest.raises(ValueError, match="^%s is the .* weight of .*"
-                           "problem %r has none" % (name, problem)):
-            main(["run", "--problem", problem, *flags, "--max-iters", "5",
-                  "--out", str(out)])
+        message = refused(["run", "--problem", problem, *flags,
+                           "--max-iters", "5", "--out", str(out)], capsys)
+        assert re.search("^%s is the .* weight of .*problem %r has none"
+                         % (name, problem), message)
         assert not out.exists()
 
-    def test_a_lam_set_in_json_is_rejected_on_nnls(self, tmp_path):
+    def test_a_lam_set_in_json_is_rejected_on_nnls(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": "nnls", "lam": 0.001,
                                         "synth": [30, 10]}))
-        with pytest.raises(ValueError, match="problem 'nnls' has none"):
-            main(["run", "--config", str(cfg_path), "--out",
-                  str(tmp_path / "o")])
+        message = refused(["run", "--config", str(cfg_path), "--out",
+                           str(tmp_path / "o")], capsys)
+        assert re.search("problem 'nnls' has none", message)
         assert not (tmp_path / "o").exists()
 
     def test_unset_weights_are_accepted_everywhere(self):
@@ -481,6 +493,18 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["run", "--problem", "quadratic", "--synth", "abc",
                   "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--cycles", "-1"], "^n_cycles must be nonnegative"),
+        (["--x0", "nan"], "^x0 must be finite"),
+    ], ids=["cycles", "x0"])
+    def test_rejected_counterexample_settings_write_nothing(
+            self, tmp_path, capsys, flags, fragment):
+        out = tmp_path / "c"
+        message = refused(["counterexample", *flags, "--out", str(out)],
+                          capsys)
+        assert re.search(fragment, message)
+        assert not out.exists()
 
     def test_counterexample_subcommand(self, tmp_path, capsys):
         rc = main(["counterexample", "--cycles", "5",

@@ -777,6 +777,68 @@ class TestBoundProbe:
         assert loss.nonfinite == 0
         assert (loss.domain_errors > 0) == (bad == -5.0)
 
+class TestDescentGuard:
+    """run_guarded_aa_pga's guard: descent_check, with ||grad f(x)||^2
+    worked out once per gradient."""
+
+    def test_every_guard_call_reaches_descent_check_once_per_gradient(
+            self, monkeypatch):
+        f, run = _nnls_case()
+        ref = run()
+
+        # the gradients f returns count the products taken with themselves
+        returned, squared = {}, []
+
+        class Gradient(np.ndarray):
+            def dot(self, other, *args, **kwargs):
+                if other is self and returned.get(id(self)) is self:
+                    squared.append(self)
+                return np.ndarray.dot(self, other, *args, **kwargs)
+
+        grad = f.grad
+
+        def counted_grad(x):
+            g = grad(x).view(Gradient)
+            returned[id(g)] = g
+            return g
+
+        # the guard run_guarded_aa_pga builds, and the module name it checks
+        # through, which the benchmark tracer patches
+        guarded, checked = [], []
+        factory, check = solvers._descent_guard, solvers.descent_check
+
+        def counted_factory():
+            guard = factory()
+
+            def counted(*args):
+                guarded.append(args[2])
+                return guard(*args)
+
+            return counted
+
+        def spy(*args):
+            checked.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(f, "grad", counted_grad)
+        monkeypatch.setattr(solvers, "_descent_guard", counted_factory)
+        monkeypatch.setattr(solvers, "descent_check", spy)
+        rep = run()
+
+        assert len(checked) == len(guarded)
+        for (_, _, grad_norm_sq, _), g in zip(checked, guarded):
+            assert grad_norm_sq == float(np.ndarray.dot(g, g))
+        # one square per row the guard judged, though such a row asks it
+        # more than twice on average
+        rows = sum(kind != "plain" for kind in rep.trace.step_kind)
+        assert len(squared) == len({id(g) for g in guarded}) == rows > 0
+        assert len(guarded) > 2 * rows
+        assert rep.trace.objective == ref.trace.objective
+        assert rep.trace.residual == ref.trace.residual
+        assert rep.trace.step_kind == ref.trace.step_kind
+        assert np.array_equal(rep.x, ref.x)
+
+
 def test_an_overflowing_first_step_ends_the_run_quietly():
     # the first step is plain, and its objective overflows: the run reports
     # it as degenerate instead of warning
