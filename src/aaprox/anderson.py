@@ -160,7 +160,8 @@ def solve_coefficients(residuals: np.ndarray,
     It is solved by numpy's solve1, the gufunc np.linalg.solve calls for a
     1-D right-hand side, called directly: the same LAPACK dgesv and the
     same floats, without the wrapper's checks. A 2-D float64 array is used
-    as given; anything else goes through np.asarray first.
+    as given; anything else goes through np.asarray first, and a 1-D input
+    is one row. A window with no columns is a ValueError.
     A degenerate system (factorization failure, nonfinite solution, or a
     multiplier beyond 1e300, which is sum(z) below 1e-300 in the normalized
     form) yields the pure fixed-point coefficients with the degenerate flag
@@ -170,7 +171,9 @@ def solve_coefficients(residuals: np.ndarray,
     if not (type(R) is np.ndarray and R.ndim == 2 and R.dtype == np.float64):
         R = np.atleast_2d(np.asarray(R, dtype=float))
     p = R.shape[1]
-    if p == 1:
+    if p <= 1:
+        if p == 0:
+            raise ValueError("no residuals to combine: the window is empty")
         # the constraint forces alpha = [1] no matter what R contains
         return ExtrapolationCoefficients(np.ones(1))
     # (R * R).sum() without its wrapper, as is the sum of alpha below

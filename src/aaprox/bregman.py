@@ -20,7 +20,7 @@ from scipy.special import expit
 from .anderson import AAConfig, AndersonEngine
 from .problems import (CompositeProblem, DomainError, NonsmoothTerm,
                        _IdentityMemo, _some_at_most)
-from .solvers import SolveReport, _proximal_gradient
+from .solvers import SolveReport, _proximal_gradient, _step_size
 
 __all__ = [
     "BregmanProblem",
@@ -119,48 +119,44 @@ def shannon_kernel() -> Kernel:
     return Kernel("shannon", value, grad, conj_grad, full_dual_domain=True)
 
 
+def _checked(fn, outside, message: str):
+    """fn on x as a float array, or DomainError(message) where the mask
+    outside(x) holds anywhere."""
+
+    def checked(x):
+        x = np.asarray(x, dtype=float)
+        if outside(x).any():
+            raise DomainError(message)
+        return fn(x)
+
+    return checked
+
+
 def burg_kernel() -> Kernel:
     """phi(x) = -sum log x_i on the positive orthant.
 
     The conjugate gradient -1/y is only defined for y < 0, so this kernel
     cannot back mirror-variable extrapolation.
     """
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        if (x <= 0).any():
-            raise DomainError("burg kernel needs x > 0")
-        return -float(np.log(x).sum())
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        if (x <= 0).any():
-            raise DomainError("burg gradient needs x > 0")
-        return -1.0 / x
-
-    def conj_grad(y):
-        y = np.asarray(y, dtype=float)
-        if (y >= 0).any():
-            raise DomainError("burg conjugate gradient needs y < 0")
-        return -1.0 / y
-
-    return Kernel("burg", value, grad, conj_grad, full_dual_domain=False)
+    return Kernel(
+        "burg",
+        _checked(lambda x: -float(np.log(x).sum()), lambda x: x <= 0,
+                 "burg kernel needs x > 0"),
+        _checked(lambda x: -1.0 / x, lambda x: x <= 0,
+                 "burg gradient needs x > 0"),
+        _checked(lambda y: -1.0 / y, lambda y: y >= 0,
+                 "burg conjugate gradient needs y < 0"),
+        full_dual_domain=False)
 
 
 def fermi_dirac_kernel() -> Kernel:
     """phi(x) = sum x_i log x_i + (1 - x_i) log(1 - x_i) on the unit box."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        if (x < 0).any() or (x > 1).any():
-            raise DomainError("fermi-dirac kernel needs 0 <= x <= 1")
-        return float(_xlogx(x).sum() + _xlogx(1.0 - x).sum())
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        if (x <= 0).any() or (x >= 1).any():
-            raise DomainError("fermi-dirac gradient needs 0 < x < 1")
-        return np.log(x / (1.0 - x))
+    value = _checked(lambda x: float(_xlogx(x).sum() + _xlogx(1.0 - x).sum()),
+                     lambda x: (x < 0) | (x > 1),
+                     "fermi-dirac kernel needs 0 <= x <= 1")
+    grad = _checked(lambda x: np.log(x / (1.0 - x)),
+                    lambda x: (x <= 0) | (x >= 1),
+                    "fermi-dirac gradient needs 0 < x < 1")
 
     # expit rounds to exactly 0 or 1 for |y| beyond ~745 / ~37; pin the
     # image of conj_grad to the open interval.
@@ -174,18 +170,12 @@ def fermi_dirac_kernel() -> Kernel:
 
 def hellinger_kernel() -> Kernel:
     """phi(x) = -sum sqrt(1 - x_i^2) on [-1, 1]^n."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        if (np.abs(x) > 1).any():
-            raise DomainError("hellinger kernel needs |x| <= 1")
-        return -float(np.sqrt(1.0 - x * x).sum())
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        if (np.abs(x) >= 1).any():
-            raise DomainError("hellinger gradient needs |x| < 1")
-        return x / np.sqrt(1.0 - x * x)
+    value = _checked(lambda x: -float(np.sqrt(1.0 - x * x).sum()),
+                     lambda x: np.abs(x) > 1,
+                     "hellinger kernel needs |x| <= 1")
+    grad = _checked(lambda x: x / np.sqrt(1.0 - x * x),
+                    lambda x: np.abs(x) >= 1,
+                    "hellinger gradient needs |x| < 1")
 
     # hypot avoids overflow in y^2; |y| above ~2^26 still rounds the ratio
     # to +-1, so pin the image of conj_grad to the open interval.
@@ -224,8 +214,9 @@ def polynomial_kernel(alpha: float = 0.0) -> Kernel:
     The conjugate gradient rescales y onto the sphere of radius t where
     t solves t^3 + alpha t = ||y||.
     """
-    if not alpha >= 0:  # nan too
-        raise ValueError("alpha must be nonnegative, got %r" % (alpha,))
+    if not 0 <= alpha < np.inf:  # nan too
+        raise ValueError("alpha must be nonnegative and finite, got %r"
+                         % (alpha,))
 
     def value(x):
         nsq = float(np.dot(x, x))
@@ -271,15 +262,12 @@ def bregman_prox(h: NonsmoothTerm, kernel: Kernel, gamma: float,
             raise UnsupportedProxError(
                 "term %r has no Euclidean proximal map" % h.kind)
         return h.prox(u, gamma)
-    if kernel.name == "shannon":
+    if kernel.name == "shannon" and h.kind in ("l1", "simplex"):
+        if _some_at_most(u, 0.0):
+            raise DomainError("shannon proximal map needs u > 0")
         if h.kind == "l1":
-            if _some_at_most(u, 0.0):
-                raise DomainError("shannon proximal map needs u > 0")
             return u * np.exp(-gamma * h.params["lam"])
-        if h.kind == "simplex":
-            if _some_at_most(u, 0.0):
-                raise DomainError("shannon proximal map needs u > 0")
-            return u / float(u.sum())
+        return u / float(u.sum())
     raise UnsupportedProxError(
         "no closed-form Bregman proximal map for kernel %r with term %r"
         % (kernel.name, h.kind))
@@ -318,13 +306,15 @@ def bregman_descent_check(f_test: float, f_curr: float, grad_curr: np.ndarray,
     Accepts when f(candidate) does not exceed the upper model value
     f(x) + <grad f(x), x_plain - x> + D_phi(x_plain, x) / gamma that the
     plain step is guaranteed to satisfy (the descent lemma of Bauschke,
-    Bolte & Teboulle 2017). Ties are accepted. D_phi costs phi(x_plain),
-    phi(x) and grad phi(x) from the kernel passed in; run_guarded_aa_bpg
-    passes one that remembers them, so grad phi(x) is the step's mirror(x)
-    and phi(x) the previous row's phi(x_plain) after a fallback.
+    Bolte & Teboulle 2017). Ties are accepted. D_phi costs phi(x), then
+    phi(x_plain), and grad phi(x) from the kernel passed in;
+    run_guarded_aa_bpg passes one that remembers the last two of each, so
+    grad phi(x) is the step's mirror(x) and, after a fallback, phi(x) the
+    last value remembered: the previous row's phi(x_plain).
     """
     step = x_plain - x_curr  # for both the gradient term and D_phi
-    distance = float(kernel.value(x_plain) - kernel.value(x_curr)
+    phi_curr = kernel.value(x_curr)
+    distance = float(kernel.value(x_plain) - phi_curr
                      - kernel.grad(x_curr).dot(step))
     bound = f_curr + float(grad_curr.dot(step)) + distance / gamma
     return f_test <= bound
@@ -356,10 +346,11 @@ def _geometry(kern: Kernel, h: NonsmoothTerm):
 def run_bpg(problem: BregmanProblem, x0, tol: float = 0.0,
             max_iters: int = 1000, keep_iterates: bool = False) -> SolveReport:
     """Plain Bregman proximal gradient from a primal point x0 in int dom phi."""
+    gamma = _step_size(problem.f, problem.gamma)
     x = np.asarray(x0, dtype=float)
     mirror, to_primal, _ = _geometry(problem.kernel, problem.h)
-    return _proximal_gradient(problem, x, problem.kernel.grad(x),
-                              problem.gamma, mirror, to_primal, tol=tol,
+    return _proximal_gradient(problem, x, problem.kernel.grad(x), gamma,
+                              mirror, to_primal, tol=tol,
                               max_iters=max_iters, keep_iterates=keep_iterates)
 
 
@@ -393,6 +384,7 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     the KKT residual. A row with no settled coordinate is the unmasked
     row, and every other kernel runs unmasked.
     """
+    gamma = _step_size(problem.f, problem.gamma)
     if aa_config is None:
         aa_config = AAConfig(m=5)
     kern = problem.kernel
@@ -401,14 +393,12 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
             "kernel %r does not cover the whole mirror space; "
             "extrapolated mirror points would leave its conjugate domain"
             % kern.name)
-    # a guard row asks phi at x_plain and then at x, so x_plain of the
-    # previous row must outlive this row's x_plain and x: three slots
-    kern = replace(kern, value=_IdentityMemo(kern.value, 3),
+    kern = replace(kern, value=_IdentityMemo(kern.value),
                    grad=_IdentityMemo(kern.grad))
     mirror, to_primal, settled = _geometry(kern, problem.h)
     y = np.asarray(y0, dtype=float)
-    return _proximal_gradient(problem, to_primal(y, problem.gamma), y,
-                              problem.gamma, mirror, to_primal,
+    return _proximal_gradient(problem, to_primal(y, gamma), y, gamma,
+                              mirror, to_primal,
                               partial(bregman_descent_check, kernel=kern),
                               AndersonEngine(y.size, aa_config),
                               settled=settled, tol=tol,

@@ -28,8 +28,8 @@ from .datasets import (generate_kl_instance, generate_logreg_instance,
 from .problems import (CompositeProblem, QuadraticLoss, box_indicator,
                        kl_loss, l1_term, least_squares_loss, logistic_loss,
                        nonneg_indicator, zero_term)
-from .solvers import (run_aa_pga, run_guarded_aa_pga, run_nesterov_pga,
-                      run_pga)
+from .solvers import (_step_size, run_aa_pga, run_guarded_aa_pga,
+                      run_nesterov_pga, run_pga)
 
 __all__ = [
     "ExperimentConfig",
@@ -182,11 +182,11 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
 
     Each problem picks its loss, its nonsmooth term and its start x0. The
     step is config.gamma when set, else 1/L for the loss's smoothness
-    constant L (relative smoothness for kl_l1, 25 for counterexample); an
-    unset step with L = 0 is a ValueError. y0 is the mirror image of x0:
-    grad phi(x0) under the Shannon kernel of kl_l1, and x0 itself on the
-    Euclidean problems, whose energy kernel has the identity as its mirror
-    map.
+    constant L (relative smoothness for kl_l1, 25 for counterexample), by
+    solvers._step_size; an unset step with L = 0 is a ValueError. y0 is
+    the mirror image of x0: grad phi(x0) under the Shannon kernel of
+    kl_l1, and x0 itself on the Euclidean problems, whose energy kernel has
+    the identity as its mirror map.
     """
     if config.problem == "counterexample":
         loss, h, x0 = PiecewiseLoss(), zero_term(), np.array([2.1])
@@ -211,11 +211,7 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
         else:  # kl_l1
             loss = kl_loss(data.A, data.b)
             h, x0 = l1_term(config.lam), np.ones(n)
-    if config.gamma is None and loss.smoothness == 0.0:
-        # an all-zero A with no ridge term
-        raise ValueError("the smoothness constant L of the loss is 0, so "
-                         "there is no default step 1/L; set --gamma")
-    gamma = 1.0 / loss.smoothness if config.gamma is None else config.gamma
+    gamma = _step_size(loss, config.gamma)
     if config.problem == "kl_l1":
         problem = BregmanProblem(shannon_kernel(), loss, h, gamma, x0.size)
         return ProblemSetup("bregman", problem, gamma, x0,

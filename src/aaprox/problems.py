@@ -18,8 +18,8 @@ remembers A x, or A^T A x where it formed A^T A. The logistic loss
 remembers the margins t = -y * (A x) with exp(-|t|), so the exponential
 too is taken once per point, and the KL loss remembers
 (A x, log(A x / b)), so the logarithm too is taken once per point.
-These three losses refuse data holding a nan or an infinity at
-construction, before any other work.
+The least-squares, logistic, KL and quadratic losses refuse data holding
+a nan or an infinity at construction, before any other work.
 """
 
 from __future__ import annotations
@@ -323,6 +323,8 @@ class QuadraticLoss:
     """value(x) = 0.5 (x - c)^T H (x - c) for symmetric positive semidefinite H."""
 
     def __init__(self, H, center=None, smoothness: float | None = None):
+        _require_finite("H", H)
+        _require_finite("center", center)
         self.H = np.asarray(H, dtype=float)
         n = self.H.shape[0]
         self.n = n
@@ -391,8 +393,9 @@ def zero_term() -> NonsmoothTerm:
 
 
 def l1_term(lam: float) -> NonsmoothTerm:
-    if not lam >= 0:  # nan too
-        raise ValueError("lam must be nonnegative, got %r" % (lam,))
+    if not 0 <= lam < np.inf:  # nan too
+        raise ValueError("lam must be nonnegative and finite, got %r"
+                         % (lam,))
     return NonsmoothTerm(
         value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda y, gamma: prox_l1(y, lam * gamma),

@@ -8,6 +8,8 @@ plain step, one candidate halfway between the two is tried before falling
 back; a step taken there is recorded as "damped". f is assumed convex, so
 a candidate whose lower bound from f(x) and grad f(x) already fails the
 guard is rejected without evaluating f there.
+Every driver, here and in aaprox.bregman, takes its step from _step_size:
+gamma as given, or 1/L for f's smoothness constant L, positive and finite.
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
 fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
 row per iterate produced, and report how they stopped. Guarded BPG under the
@@ -260,10 +262,23 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     return SolveReport(x, trace, termination, gamma)
 
 
+def _step_size(f, gamma: float | None) -> float:
+    """gamma, or 1/L for the smoothness constant L of f when gamma is None;
+    a ValueError at L = 0 or where the step is not positive and finite."""
+    if gamma is None:
+        if f.smoothness == 0.0:
+            raise ValueError("the smoothness constant L of the loss is 0, so "
+                             "there is no step 1/L; set gamma (--gamma)")
+        gamma = 1.0 / f.smoothness
+    if not 0.0 < gamma < math.inf:  # nan too
+        raise ValueError("gamma must be positive and finite, got %r"
+                         % (gamma,))
+    return gamma
+
+
 def _run_euclidean(problem: CompositeProblem, x0, gamma: float | None,
                    aa_config: AAConfig | None, guard, **options) -> SolveReport:
-    if gamma is None:
-        gamma = 1.0 / problem.f.smoothness
+    gamma = _step_size(problem.f, gamma)
     x = np.asarray(x0, dtype=float)
     engine = None if aa_config is None else AndersonEngine(x.size, aa_config)
     return _proximal_gradient(problem, x, x, gamma, lambda v: v,
@@ -338,8 +353,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     inf and ends the run as "degenerate"; the loop ignores overflow and
     invalid operations, so such a run is reported, not warned about.
     """
-    if gamma is None:
-        gamma = 1.0 / problem.f.smoothness
+    gamma = _step_size(problem.f, gamma)
     start = time.perf_counter()
     projected = problem.h.kind in PROJECTION_KINDS
     x = np.asarray(x0, dtype=float)

@@ -92,6 +92,25 @@ def test_single_column_is_plain_step():
     assert not coeffs.degenerate
 
 
+def test_an_empty_window_is_refused_by_name():
+    with pytest.raises(ValueError, match="the window is empty"):
+        solve_coefficients(np.zeros((3, 0)))
+
+
+def test_other_inputs_go_through_asarray_with_the_same_floats():
+    R = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]])
+    want = solve_coefficients(R, 0.1)
+    for given in (R.tolist(), R.astype(np.float32)):
+        got = solve_coefficients(given, 0.1)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.degenerate == want.degenerate
+    # a 1-D input is one row: here two columns of one entry each
+    row = solve_coefficients(np.array([3.0, 4.0]))
+    assert row.alpha.tobytes() == solve_coefficients(
+        np.array([[3.0, 4.0]])).alpha.tobytes()
+    assert row.alpha.shape == (2,)
+
+
 def test_orthonormal_pair_splits_evenly():
     R = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     coeffs = solve_coefficients(R, 0.0)

@@ -191,6 +191,12 @@ class TestPolynomialKernel:
             with pytest.raises(ValueError, match="alpha must be nonnegative"):
                 polynomial_kernel(alpha)
 
+    def test_rejects_infinite_curvature(self):
+        # inf alpha would make every value inf * 0 = nan at x = 0
+        with pytest.raises(ValueError,
+                           match="alpha must be nonnegative and finite"):
+            polynomial_kernel(np.inf)
+
     def test_conjugate_matches_cubic_root_oracle(self):
         rng = np.random.default_rng(3)
         for alpha in (0.0, 0.5, 3.0):

@@ -593,6 +593,20 @@ class TestQuadraticLoss:
         assert_allclose(f.grad(x), H @ (x - c))
         assert_allclose(f.smoothness, np.linalg.eigvalsh(H)[-1])
 
+    @pytest.mark.parametrize("name, bad", [
+        ("H", np.nan), ("H", np.inf), ("center", np.nan),
+        ("center", -np.inf)])
+    def test_non_finite_data_is_refused_at_construction(self, name, bad,
+                                                        capfd):
+        data = {"H": np.eye(3), "center": np.zeros(3)}
+        data[name] = data[name].copy()
+        data[name][1] = bad
+        with pytest.raises(ValueError,
+                           match="%s must hold only finite values" % name):
+            QuadraticLoss(**data)
+        # refused before eigvalsh, which LAPACK would run on the nan
+        assert capfd.readouterr().err == ""
+
 
 def top_squared_singular_value(A):
     return np.linalg.svd(A, compute_uv=False)[0] ** 2
@@ -695,6 +709,12 @@ class TestNonsmoothTerms:
         for lam in (-0.1, np.nan):
             with pytest.raises(ValueError, match="lam must be nonnegative"):
                 l1_term(lam)
+
+    def test_l1_rejects_an_infinite_lam(self):
+        # inf lam would make the value at x = 0 inf * 0 = nan
+        with pytest.raises(ValueError,
+                           match="lam must be nonnegative and finite"):
+            l1_term(np.inf)
 
     def test_box_value_and_validation(self):
         t = box_indicator(-1.0, 1.0)

@@ -1117,6 +1117,42 @@ class TestIterationTrace:
         assert tr.iterates == []
 
 
+def six_drivers(gamma):
+    """Each driver's run at step gamma on a small nnls problem, by name;
+    the Bregman drivers take gamma from their problem."""
+    prob = CompositeProblem(least_squares_loss(np.eye(3), np.ones(3)),
+                            nonneg_indicator(), 3)
+    mirror = BregmanProblem(energy_kernel(), prob.f, prob.h, gamma, 3)
+    x0 = np.zeros(3)
+    return {
+        "pga": lambda: run_pga(prob, x0, gamma),
+        "aa_pga": lambda: run_aa_pga(prob, x0, gamma),
+        "guarded_aa_pga": lambda: run_guarded_aa_pga(prob, x0, gamma),
+        "nesterov": lambda: run_nesterov_pga(prob, x0, gamma),
+        "bpg": lambda: run_bpg(mirror, x0),
+        "guarded_aa_bpg": lambda: run_guarded_aa_bpg(mirror, x0),
+    }
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("driver", sorted(six_drivers(1.0)))
+def test_every_driver_refuses_a_step_not_positive_and_finite(driver, gamma):
+    # a zero or negative step used to stop on "tol" at a non-optimal point,
+    # nan and inf on "degenerate"
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        six_drivers(gamma)[driver]()
+
+
+@pytest.mark.parametrize("driver", [run_pga, run_aa_pga, run_guarded_aa_pga,
+                                    run_nesterov_pga])
+def test_a_zero_smoothness_leaves_no_default_step(driver):
+    # 1/L used to raise ZeroDivisionError
+    prob = CompositeProblem(QuadraticLoss(np.zeros((3, 3))), zero_term(), 3)
+    assert prob.f.smoothness == 0.0
+    with pytest.raises(ValueError, match="L of the loss is 0.*gamma"):
+        driver(prob, np.ones(3))
+
+
 def test_all_drivers_agree_on_an_easy_problem():
     prob = quadratic_problem(seed=17)
     x0 = np.full(prob.n, 2.0)
