@@ -13,8 +13,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 from .anderson import (AAConfig, AndersonEngine, ExtrapolationCoefficients,
                        FixedPointReport, QrWindow, ResidualHistory,
-                       enforce_coefficient_bound, run_anderson,
-                       solve_coefficients)
+                       run_anderson, solve_coefficients)
 from .bregman import (BregmanProblem, Kernel, UnsupportedProxError, bpg_step,
                       bregman_descent_check, bregman_distance, bregman_prox,
                       burg_kernel, energy_kernel, fermi_dirac_kernel,

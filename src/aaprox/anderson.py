@@ -23,7 +23,6 @@ __all__ = [
     "FixedPointReport",
     "QrWindow",
     "ResidualHistory",
-    "enforce_coefficient_bound",
     "run_anderson",
     "solve_coefficients",
 ]
@@ -48,16 +47,14 @@ class AAConfig:
 
     m is the window depth (m = 0 disables extrapolation). reg_scale weights
     a Tikhonov term reg_scale * ||R||_F^2 * ||alpha||_2^2 added to the
-    coefficient problem; it is finite and nonnegative. m_alpha > 1, which
-    may be inf, bounds ||alpha||_1; when exceeded the coefficients are reset
-    to the pure fixed-point weights. The coefficients solve through dense
-    normal equations over the residual window; use_qr_updates opts in to the
-    incrementally updated QR window instead. Other settings raise ValueError.
+    coefficient problem; it is finite and nonnegative. The coefficients
+    solve through dense normal equations over the residual window;
+    use_qr_updates opts in to the incrementally updated QR window instead.
+    Other settings raise ValueError.
     """
 
     m: int
     reg_scale: float = 1e-10
-    m_alpha: float = math.inf
     use_qr_updates: bool = False
 
     def __post_init__(self):
@@ -68,8 +65,6 @@ class AAConfig:
             raise ValueError("window depth m must be nonnegative")
         if not 0 <= self.reg_scale < math.inf:
             raise ValueError("reg_scale must be finite and nonnegative")
-        if not self.m_alpha > 1:
-            raise ValueError("m_alpha must exceed 1")
 
 
 class ResidualHistory:
@@ -202,15 +197,6 @@ def solve_coefficients(residuals: np.ndarray,
     return ExtrapolationCoefficients(alpha / total)
 
 
-def enforce_coefficient_bound(coeffs: ExtrapolationCoefficients,
-                              m_alpha: float) -> ExtrapolationCoefficients:
-    """Reset to the pure fixed-point weights when ||alpha||_1 > m_alpha."""
-    if np.abs(coeffs.alpha).sum() <= m_alpha:
-        return coeffs
-    return ExtrapolationCoefficients(_pure_fixed_point(len(coeffs.alpha)),
-                                     degenerate=coeffs.degenerate)
-
-
 def _givens(a: float, b: float) -> tuple[float, float]:
     if b == 0.0:
         return 1.0, 0.0
@@ -329,11 +315,10 @@ class AndersonEngine:
     retry on a window shortened by its oldest entry before settling for the
     pure fixed-point weights. degenerate_count counts every degenerate
     solve, the retry's included, so a rescued solve counts once and an
-    unrescued one twice. The ||alpha||_1 bound is only summed for a finite
-    m_alpha. Weights and mixed points equal, bit for bit, those of the
-    textbook route: np.column_stack, R^T R + lam I, np.linalg.solve and the
-    stacked map values times alpha; the solve calls the gufunc behind
-    np.linalg.solve directly, which gives the same floats.
+    unrescued one twice. Weights and mixed points equal, bit for bit, those
+    of the textbook route: np.column_stack, R^T R + lam I, np.linalg.solve
+    and the stacked map values times alpha; the solve calls the gufunc
+    behind np.linalg.solve directly, which gives the same floats.
     """
 
     def __init__(self, n: int, config: AAConfig):
@@ -372,10 +357,7 @@ class AndersonEngine:
                 self.window.drop_oldest()
             coeffs = self._solve()
             self.degenerate_count += coeffs.degenerate
-        if self.config.m_alpha == math.inf:
-            # alpha holds no NaN, so ||alpha||_1 <= inf always holds
-            return coeffs
-        return enforce_coefficient_bound(coeffs, self.config.m_alpha)
+        return coeffs
 
     def extrapolate(self) -> tuple[np.ndarray, ExtrapolationCoefficients]:
         """The mixed map value and its weights; plain weights (1, 0, ..., 0)

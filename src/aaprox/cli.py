@@ -41,6 +41,7 @@ __all__ = [
 
 PROBLEMS = ("logreg_box", "nnls", "kl_l1", "quadratic", "counterexample")
 RIDGE_PROBLEMS = ("logreg_box", "nnls")  # the problems whose loss takes mu
+DATA_PROBLEMS = ("logreg_box", "nnls", "kl_l1")  # read data, else synth
 EUCLIDEAN_METHODS = ("pga", "aa_pga", "guarded_aa_pga", "nesterov")
 BREGMAN_METHODS = ("bpg", "guarded_aa_bpg")
 METHODS = EUCLIDEAN_METHODS + BREGMAN_METHODS
@@ -116,6 +117,17 @@ class ExperimentConfig:
                              "none" % self.problem)
         if self.problem == "kl_l1" and self.lam is None:
             self.lam = 0.001
+        for name, readers in (("data", DATA_PROBLEMS),
+                              ("synth", DATA_PROBLEMS + ("quadratic",))):
+            if getattr(self, name) is not None and self.problem not in readers:
+                raise ValueError("%s is read by %s only, not by problem %r"
+                                 % (name, ", ".join(readers), self.problem))
+        if self.data is not None and self.synth is not None:
+            raise ValueError("data and synth both give the instance; set one "
+                             "of them")
+        if self.csv_has_header and not (self.data or "").endswith(".csv"):
+            raise ValueError("csv_has_header describes a .csv data file, and "
+                             "data is %r" % self.data)
         if self.synth is not None and min(self.synth) < 1:
             raise ValueError("synth sizes must be at least 1, got %r"
                              % (self.synth,))
@@ -141,6 +153,9 @@ class ExperimentConfig:
         if json_path:
             with open(json_path) as fh:
                 loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValueError("%s must hold a JSON object of config fields"
+                                 % json_path)
             unknown = set(loaded) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ValueError("unknown config keys %s" % sorted(unknown))
@@ -370,14 +385,15 @@ def _cmd_counterexample(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run the command line. A rejected setting or data file (a ValueError)
-    prints one "aaprox <command>: error: <message>" line to stderr and
-    returns 2, as argparse does for a bad flag."""
+    """Run the command line. A rejected setting or data file (a ValueError),
+    or a data or config file that cannot be read (an OSError, such as a
+    missing file), prints one "aaprox <command>: error: <message>" line to
+    stderr and returns 2, as argparse does for a bad flag."""
     args = _build_parser().parse_args(argv)
     command = _cmd_run if args.command == "run" else _cmd_counterexample
     try:
         return command(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("aaprox %s: error: %s" % (args.command, exc), file=sys.stderr)
         return 2
 

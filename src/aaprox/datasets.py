@@ -244,9 +244,18 @@ def write_libsvm(data: DatasetMatrix, path) -> None:
 
 
 def load_dense_csv(path, has_header: bool = False) -> DatasetMatrix:
-    """Read a dense CSV whose last column is the label / right-hand side."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0,
-                     ndmin=2)
+    """Read a dense CSV whose last column is the label / right-hand side.
+
+    A file with no data rows is a ValueError, as in parse_libsvm.
+    """
+    with warnings.catch_warnings():
+        # numpy warns on an empty input; the check below raises instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        raw = np.loadtxt(path, delimiter=",",
+                         skiprows=1 if has_header else 0, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError("%s: no data rows" % path)
     if raw.shape[1] < 2:
         raise ValueError("%s: need at least one feature column plus labels" % path)
     return DatasetMatrix(raw[:, :-1].copy(), raw[:, -1].copy())

@@ -47,8 +47,7 @@ __all__ = [
 class IterationTrace:
     """Per-iteration log: objective, residual norm, step kind, elapsed time.
 
-    With keep_iterates, each row given an x keeps it in iterates and the
-    driver's plain step point, or None, in x_plain.
+    With keep_iterates, each row given an x keeps it in iterates.
     """
 
     def __init__(self, keep_iterates: bool = False):
@@ -58,20 +57,18 @@ class IterationTrace:
         self.elapsed: list[float] = []
         self.keep_iterates = keep_iterates
         self.iterates: list[np.ndarray] = []
-        self.x_plain: list[np.ndarray | None] = []
 
     def __len__(self) -> int:
         return len(self.objective)
 
     def record(self, objective: float, residual: float, step_kind: str,
-               elapsed: float, x=None, x_plain=None) -> None:
+               elapsed: float, x=None) -> None:
         self.objective.append(float(objective))
         self.residual.append(float(residual))
         self.step_kind.append(step_kind)
         self.elapsed.append(float(elapsed))
         if self.keep_iterates and x is not None:
             self.iterates.append(x)
-            self.x_plain.append(x_plain)
 
 
 @dataclass
@@ -186,8 +183,6 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     so grad itself is never written. The loop runs under one np.errstate
     that ignores overflow and invalid operations, so a run that overflows
     is reported as "degenerate", not warned about.
-    With kept iterates, x_plain is recorded on every row: None on the first
-    and on an unguarded "AA" row, x on a later plain row.
     settled(x, g, y), when given, returns a boolean mask of coordinates left
     out of the extrapolation, or None. A row with a mask pushes a zero
     residual there (y takes g's entries) and writes g's entries into the
@@ -213,14 +208,13 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             if k and _stop(rn, g, tol):
                 termination = "tol"
                 break
-            x_plain, f_next, kind = None, None, "plain"
+            f_next, kind = None, "plain"
             y_ext = g if engine is None else engine.extrapolate()[0]
             if mask is not None and y_ext is not g:
                 # a mixed point is a new array: write the plain values in
                 np.copyto(y_ext, g, where=mask)
             if y_ext is g:
                 y, x = g, to_primal(g, gamma)
-                x_plain = x if k else None
             elif guard is None:
                 y, x, kind = y_ext, to_primal(y_ext, gamma), "AA"
             else:
@@ -255,7 +249,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             if not math.isfinite(objective):
                 termination, objective = "degenerate", np.inf
             elapsed = time.perf_counter() - start
-            trace.record(objective, rn, kind, elapsed, x, x_plain)
+            trace.record(objective, rn, kind, elapsed, x)
             if termination == "degenerate":
                 break
 

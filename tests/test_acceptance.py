@@ -18,6 +18,7 @@ from aaprox.anderson import AAConfig, AndersonEngine, QrWindow, run_anderson, \
     solve_coefficients
 from aaprox.bregman import (
     BregmanProblem,
+    bpg_step,
     bregman_descent_check,
     bregman_distance,
     bregman_prox,
@@ -263,14 +264,13 @@ def test_criterion_06_guard_reevaluation(benchmarks):
                 violations += 0 if ok else 1
         else:
             bp = inst["problem"]
-            plains = rep.trace.x_plain
             for i, kind in enumerate(kinds):
                 if i == 0 or kind != "AA":
                     continue
                 ok = bregman_descent_check(
                     bp.f.value(xs[i]), bp.f.value(xs[i - 1]),
-                    bp.f.grad(xs[i - 1]), plains[i], xs[i - 1],
-                    bp.gamma, bp.kernel)
+                    bp.f.grad(xs[i - 1]), bpg_step(bp, xs[i - 1])[1],
+                    xs[i - 1], bp.gamma, bp.kernel)
                 checked += 1
                 violations += 0 if ok else 1
     assert checked > 0

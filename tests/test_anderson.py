@@ -12,11 +12,9 @@ from aaprox import anderson
 from aaprox.anderson import (
     AAConfig,
     AndersonEngine,
-    ExtrapolationCoefficients,
     QrWindow,
     ResidualHistory,
     _norm,
-    enforce_coefficient_bound,
     run_anderson,
     solve_coefficients,
 )
@@ -202,23 +200,6 @@ def test_identical_columns_fall_back():
     coeffs = solve_coefficients(np.column_stack([r, r]), 0.0)
     assert coeffs.degenerate
     assert_allclose(coeffs.alpha, [1.0, 0.0])
-
-
-def test_coefficient_bound_resets_to_plain_step():
-    kept = enforce_coefficient_bound(
-        ExtrapolationCoefficients(np.array([0.5, 0.5])), 2.0)
-    assert_allclose(kept.alpha, [0.5, 0.5])
-    reset = enforce_coefficient_bound(
-        ExtrapolationCoefficients(np.array([3.0, -2.0])), 4.0)
-    assert_allclose(reset.alpha, [1.0, 0.0])
-    # exactly at the bound counts as within it
-    edge = enforce_coefficient_bound(
-        ExtrapolationCoefficients(np.array([3.0, -2.0])), 5.0)
-    assert_allclose(edge.alpha, [3.0, -2.0])
-    # a NaN weight is never within the bound, not even an infinite one
-    nan = enforce_coefficient_bound(
-        ExtrapolationCoefficients(np.array([np.nan, 0.5])), math.inf)
-    assert np.array_equal(nan.alpha, [1.0, 0.0])
 
 
 class TestResidualHistory:
@@ -456,9 +437,7 @@ class TestAndersonEngine:
         (AAConfig(m=3), [1.0], 1),
         # a duplicate residual: the degenerate solve retries on the newest
         (AAConfig(m=2, reg_scale=0.0), [1.0, 1.0], 1),
-        # parallel residuals 2g and g mix as (2, -1), beyond m_alpha = 2
-        (AAConfig(m=2, m_alpha=2.0), [2.0, 1.0], 2),
-    ], ids=["m0", "one_column", "degenerate", "m_alpha_reset"])
+    ], ids=["m0", "one_column", "degenerate"])
     def test_plain_weights_propose_the_pushed_map_value(self, config, scales,
                                                         window):
         eng = AndersonEngine(3, config)
@@ -472,7 +451,7 @@ class TestAndersonEngine:
         assert np.array_equal(coeffs.alpha, np.eye(window)[0])
 
     def test_mixed_weights_propose_a_new_point(self):
-        # the same parallel pair without the bound is a true extrapolation
+        # parallel residuals 2g and g mix as (2, -1): a true extrapolation
         eng = AndersonEngine(3, AAConfig(m=2))
         g = np.array([1.0, 2.0, 3.0])
         eng.push(2 * g, np.zeros(3))
@@ -639,7 +618,7 @@ class TextbookEngine:
                                           self.config.reg_scale)
         if alpha is None:
             self.degenerate += 1
-        if alpha is None or np.sum(np.abs(alpha)) > self.config.m_alpha:
+        if alpha is None:
             alpha = np.eye(len(self.gs))[0]
         if alpha[0] == 1.0 and not alpha[1:].any():
             return self.gs[0], alpha
@@ -649,16 +628,15 @@ class TextbookEngine:
 @pytest.mark.parametrize("n", [3, 50])
 @pytest.mark.parametrize("config", [
     AAConfig(m=0), AAConfig(m=1), AAConfig(m=5),
-    AAConfig(m=5, m_alpha=10.0),
     # duplicate pushes make unregularized windows singular
     AAConfig(m=2, reg_scale=0.0),
-], ids=["m0", "m1", "m5", "m_alpha", "degenerate"])
+], ids=["m0", "m1", "m5", "degenerate"])
 def test_engine_floats_match_a_textbook_reference(n, config):
     # residuals near one common direction give weights of mixed sign
     rng = np.random.default_rng(27 + n)
     drift = rng.standard_normal(n)
     eng, ref = AndersonEngine(n, config), TextbookEngine(config)
-    mixed = resets = 0
+    mixed = 0
     for k in range(16):
         if k not in (6, 7, 12):  # pushes 7 and 8 repeat push 6
             y = rng.standard_normal(n)
@@ -672,13 +650,10 @@ def test_engine_floats_match_a_textbook_reference(n, config):
         assert np.array_equal(x_next, x_ref)
         assert (x_next is g_val) == (x_ref is g_val)
         mixed += x_next is not g_val
-        resets += len(eng) > 1 and x_next is g_val
     assert eng.degenerate_count == ref.degenerate
     assert (mixed > 0) == (config.m > 0)
     if config.reg_scale == 0.0:
         assert eng.degenerate_count > 0
-    if config.m_alpha < math.inf:
-        assert resets > 0
 
 
 
@@ -866,9 +841,8 @@ class TestRunAnderson:
 
 @pytest.mark.parametrize("settings", [
     dict(m=2.5), dict(m=True), dict(m=2, reg_scale=math.nan),
-    dict(m=2, reg_scale=math.inf), dict(m=2, m_alpha=math.nan),
-], ids=["fractional_m", "bool_m", "nan_reg_scale", "inf_reg_scale",
-        "nan_m_alpha"])
+    dict(m=2, reg_scale=math.inf),
+], ids=["fractional_m", "bool_m", "nan_reg_scale", "inf_reg_scale"])
 def test_config_rejects_settings_that_would_fail_later(settings):
     # each was accepted and then turned extrapolation off silently, or
     # raised mid-run
@@ -881,8 +855,6 @@ def test_config_validation():
         AAConfig(m=-1)
     with pytest.raises(ValueError):
         AAConfig(m=2, reg_scale=-1e-3)
-    with pytest.raises(ValueError):
-        AAConfig(m=2, m_alpha=1.0)
     assert AAConfig(m=5).use_qr_updates is False
     assert AndersonEngine(3, AAConfig(m=5)).window is None
     assert AndersonEngine(3, AAConfig(m=2, use_qr_updates=True)).window

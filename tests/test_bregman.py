@@ -486,15 +486,14 @@ class TestRunGuardedAaBpg:
         rep = run_guarded_aa_bpg(prob, y0, AAConfig(m=4), max_iters=400,
                                  keep_iterates=True)
         xs = rep.trace.iterates
-        plains = rep.trace.x_plain
         checked = 0
         for k in range(1, len(xs)):
             if rep.trace.step_kind[k] != "AA":
                 continue
             ok = bregman_descent_check(
                 prob.f.value(xs[k]), prob.f.value(xs[k - 1]),
-                prob.f.grad(xs[k - 1]), plains[k], xs[k - 1],
-                prob.gamma, prob.kernel)
+                prob.f.grad(xs[k - 1]), bpg_step(prob, xs[k - 1])[1],
+                xs[k - 1], prob.gamma, prob.kernel)
             assert ok
             checked += 1
         assert checked > 0  # the run must actually extrapolate

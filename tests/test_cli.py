@@ -149,18 +149,21 @@ class TestAssembleProblem:
         with pytest.raises(ValueError, match="--data or --synth"):
             assemble_problem(cfg)
 
-    @pytest.mark.parametrize("name", ["d.csv", "d.svm"])
+    @pytest.mark.parametrize("name", ["d.csv", "d.svm", "header.csv"])
     def test_csv_data_source(self, tmp_path, name):
         # a .csv suffix selects the dense reader, anything else LIBSVM
         p = tmp_path / name
         rng = np.random.default_rng(0)
         A = rng.random((10, 3))
         b = A @ np.array([1.0, 2.0, 0.5])
+        header = name == "header.csv"
         if name.endswith(".csv"):
-            np.savetxt(p, np.column_stack([A, b]), delimiter=",")
+            np.savetxt(p, np.column_stack([A, b]), delimiter=",",
+                       header="a1,a2,a3,b" if header else "", comments="")
         else:
             write_libsvm(DatasetMatrix(A, b), p)
-        cfg = ExperimentConfig(problem="nnls", methods=["pga"], data=str(p))
+        cfg = ExperimentConfig(problem="nnls", methods=["pga"], data=str(p),
+                               csv_has_header=header)
         setup = assemble_problem(cfg)
         assert setup.problem.n == 3
         x = np.array([0.5, 1.0, 1.5])
@@ -447,27 +450,74 @@ class TestMain:
         assert re.search(fragment, message)
         assert os.listdir(tmp_path) == ["cfg.json"]
 
-    @pytest.mark.parametrize("problem, flags", [
-        ("kl_l1", ["--mu", "0.5", "--method", "bpg", "--synth", "30,10"]),
-        ("quadratic", ["--mu", "0.5"]),
-        ("counterexample", ["--mu", "1e-300"]),
-        ("nnls", ["--lambda", "0.01", "--synth", "30,10"]),
-        ("logreg_box", ["--lambda", "0", "--synth", "30,10"]),
-        ("quadratic", ["--lambda", "0.001"]),
-        ("counterexample", ["--lambda", "0.01"]),
+    @pytest.mark.parametrize("problem, flags, fragment", [
+        ("kl_l1", ["--mu", "0.5", "--method", "bpg", "--synth", "30,10"],
+         "^mu is the ridge weight of .*problem 'kl_l1' has none"),
+        ("quadratic", ["--mu", "0.5"],
+         "^mu is the ridge weight of .*problem 'quadratic' has none"),
+        ("counterexample", ["--mu", "1e-300"],
+         "^mu is the ridge weight of .*problem 'counterexample' has none"),
+        ("nnls", ["--lambda", "0.01", "--synth", "30,10"],
+         "^lam is the l1 weight of .*problem 'nnls' has none"),
+        ("logreg_box", ["--lambda", "0", "--synth", "30,10"],
+         "^lam is the l1 weight of .*problem 'logreg_box' has none"),
+        ("quadratic", ["--lambda", "0.001"],
+         "^lam is the l1 weight of .*problem 'quadratic' has none"),
+        ("counterexample", ["--lambda", "0.01"],
+         "^lam is the l1 weight of .*problem 'counterexample' has none"),
+        # the data files named below do not exist: each setting is refused
+        # before any file is opened
+        ("quadratic", ["--data", "missing.csv"],
+         "^data is read by .* not by problem 'quadratic'$"),
+        ("counterexample", ["--data", "t.svm"],
+         "^data is read by .* not by problem 'counterexample'$"),
+        ("counterexample", ["--synth", "5,5"],
+         "^synth is read by .*quadratic only, not by problem "
+         "'counterexample'$"),
+        ("nnls", ["--synth", "30,10", "--data", "t.svm"],
+         "^data and synth both give the instance"),
+        ("nnls", ["--synth", "30,10", "--csv-has-header"],
+         "^csv_has_header describes a .csv data file, and data is None$"),
+        ("nnls", ["--data", "t.svm", "--csv-has-header"],
+         "^csv_has_header describes a .csv data file, and data is 't.svm'$"),
     ], ids=["mu_kl_l1", "mu_quadratic", "mu_counterexample", "lam_nnls",
-            "lam_logreg_box", "lam_quadratic", "lam_counterexample"])
+            "lam_logreg_box", "lam_quadratic", "lam_counterexample",
+            "data_quadratic", "data_counterexample", "synth_counterexample",
+            "data_and_synth", "header_with_synth", "header_with_svm"])
     def test_settings_the_problem_does_not_use_write_nothing(
-            self, tmp_path, capsys, problem, flags):
+            self, tmp_path, capsys, problem, flags, fragment):
         # each was accepted and then ignored: the run wrote the trace of
         # the setting's default
         out = tmp_path / "o"
-        name = "mu" if "--mu" in flags else "lam"
         message = refused(["run", "--problem", problem, *flags,
                            "--max-iters", "5", "--out", str(out)], capsys)
-        assert re.search("^%s is the .* weight of .*problem %r has none"
-                         % (name, problem), message)
+        assert re.search(fragment, message), message
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--problem", "nnls", "--data", "missing.svm"],
+        ["--problem", "nnls", "--data", "missing.csv"],
+        ["--config", "missing.json"],
+    ], ids=["svm", "csv", "config"])
+    def test_a_missing_file_writes_nothing(self, tmp_path, monkeypatch,
+                                           capsys, flags):
+        # each printed a traceback and exited 1
+        monkeypatch.chdir(tmp_path)
+        message = refused(["run", *flags, "--out", "o"], capsys)
+        assert "missing." in message
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"problem"'],
+                             ids=["number", "list", "string"])
+    def test_a_config_that_is_not_an_object_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, text):
+        # a number raised a TypeError; a list or a string was read as keys
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(text)
+        message = refused(["run", "--config", "cfg.json", "--out", "o"],
+                          capsys)
+        assert message == "cfg.json must hold a JSON object of config fields"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_a_lam_set_in_json_is_rejected_on_nnls(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

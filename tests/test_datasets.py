@@ -329,6 +329,17 @@ class TestLoadDenseCsv:
         data = load_dense_csv(p)
         assert data.A.shape == (1, 1)
 
+    @pytest.mark.parametrize("text, has_header", [
+        ("", False), ("", True), ("f1,y\n", True), ("f1,y\n\n\n", True),
+    ], ids=["empty", "empty_with_header", "header_only", "header_and_blanks"])
+    def test_no_data_rows_rejected(self, tmp_path, text, has_header):
+        # the UserWarning numpy gives here is an error under the suite's
+        # filters, so this also checks that none is emitted
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="d.csv: no data rows"):
+            load_dense_csv(p, has_header=has_header)
+
 
 class TestGenerators:
     @pytest.mark.parametrize("gen", [generate_logreg_instance,

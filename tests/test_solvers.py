@@ -18,6 +18,7 @@ from aaprox.datasets import (
 )
 from aaprox.bregman import (
     BregmanProblem,
+    bpg_step,
     energy_kernel,
     run_bpg,
     run_guarded_aa_bpg,
@@ -169,17 +170,6 @@ class TestRunGuardedAaPga:
             obj = np.array(rep.trace.objective)
             assert np.all(np.diff(obj) <= 1e-12)
 
-    def test_matches_plain_when_every_candidate_is_rejected(self):
-        # an m_alpha bound of ~1 forces the pure fixed-point weights, so the
-        # extrapolated candidate equals the plain step and the run follows
-        # plain PGA up to floating point identity
-        prob = lasso_problem(seed=10)
-        cfg = AAConfig(m=4, m_alpha=1.0 + 1e-12)
-        r1 = run_guarded_aa_pga(prob, np.zeros(prob.n), aa_config=cfg,
-                                max_iters=100)
-        r2 = run_pga(prob, np.zeros(prob.n), max_iters=100)
-        assert_allclose(r1.x, r2.x, atol=1e-12)
-
     def test_feasibility_with_box_constraints(self):
         prob = lasso_problem(seed=12)
         prob = CompositeProblem(prob.f, box_indicator(-0.4, 0.4), prob.n)
@@ -265,6 +255,14 @@ def guarded_and_plain(geometry, prob, x0, gamma, aa_config, **options):
             run_bpg(bp, x0, **options))
 
 
+def plain_point(geometry, prob, x, gamma):
+    """The plain step from x that guarded_and_plain's guarded run takes."""
+    if geometry == "euclidean":
+        return pga_step(prob, x, gamma)
+    bp = BregmanProblem(energy_kernel(), prob.f, prob.h, gamma, prob.n)
+    return bpg_step(bp, x)[1]
+
+
 @pytest.mark.parametrize("geometry", ["euclidean", "energy"])
 class TestGuardCandidates:
     """Candidate handling shared by both guards."""
@@ -307,36 +305,37 @@ class TestGuardCandidates:
 
     def test_kept_plain_points_cover_every_row(self, geometry):
         prob = lasso_problem(seed=20)
+        gamma = 1.0 / prob.f.smoothness
         guarded, _ = guarded_and_plain(geometry, prob, np.zeros(prob.n),
-                                       1.0 / prob.f.smoothness, AAConfig(m=4),
-                                       max_iters=80, keep_iterates=True)
-        plains = guarded.trace.x_plain
-        assert len(plains) == len(guarded.trace) == 80
-        assert plains[0] is None
+                                       gamma, AAConfig(m=4), max_iters=80,
+                                       keep_iterates=True)
+        xs = guarded.trace.iterates
+        assert len(xs) == len(guarded.trace) == 80
         kinds = guarded.trace.step_kind
         assert "AA" in kinds and "fallback" in kinds
-        for kind, x, x_plain in zip(kinds[1:], guarded.trace.iterates[1:],
-                                    plains[1:]):
-            assert x_plain is not None
-            if kind == "fallback":
-                assert np.array_equal(x, x_plain)
+        for k in range(1, len(xs)):
+            if kinds[k] == "fallback":
+                assert np.array_equal(
+                    xs[k], plain_point(geometry, prob, xs[k - 1], gamma))
 
     def test_degenerate_row_keeps_its_plain_point(self, geometry):
         # a step ten times too long diverges until the objective overflows
         prob = quadratic_problem(seed=21)
+        gamma = 10.0 / prob.f.smoothness
         with np.errstate(over="ignore", invalid="ignore"):
             guarded, _ = guarded_and_plain(geometry, prob, np.ones(prob.n),
-                                           10.0 / prob.f.smoothness,
-                                           AAConfig(m=0), max_iters=5000,
-                                           keep_iterates=True)
-        assert guarded.termination == "degenerate"
-        plains = guarded.trace.x_plain
-        assert len(plains) == len(guarded.trace) == len(guarded.trace.iterates)
-        # the run stops on the first infinite objective, at a finite iterate
-        assert np.isfinite(guarded.trace.objective[:-1]).all()
-        assert guarded.trace.objective[-1] == np.inf
-        assert plains[-1] is guarded.trace.iterates[-1]
-        assert np.isfinite(plains[-1]).all()
+                                           gamma, AAConfig(m=0),
+                                           max_iters=5000, keep_iterates=True)
+            assert guarded.termination == "degenerate"
+            xs = guarded.trace.iterates
+            assert len(xs) == len(guarded.trace)
+            # the run stops on the first infinite objective, at a finite
+            # iterate, the plain step from the row before
+            assert np.isfinite(guarded.trace.objective[:-1]).all()
+            assert guarded.trace.objective[-1] == np.inf
+            assert np.array_equal(
+                xs[-1], plain_point(geometry, prob, xs[-2], gamma))
+            assert np.isfinite(xs[-1]).all()
 
     def test_degenerate_row_is_reached_without_a_warning(self, geometry):
         # the run above with no errstate of the caller's
@@ -461,15 +460,12 @@ class CountingProx:
         return np.bincount(rows, minlength=len(self.loss.values_per_row))
 
 
-@pytest.mark.parametrize("config", [AAConfig(m=0),
-                                    AAConfig(m=4, m_alpha=1.0 + 1e-12)],
-                         ids=["m0", "m_alpha_reset"])
+@pytest.mark.parametrize("config", [AAConfig(m=0)], ids=["m0"])
 @pytest.mark.parametrize("driver", ["aa_pga", "guarded_aa_pga",
                                     "guarded_aa_bpg"])
 def test_plain_weights_take_the_plain_step(driver, config):
-    # every step's weights are (1, 0, ..., 0): at depth 0 by construction,
-    # under m_alpha = 1 + 1e-12 because every proposal on this lasso has a
-    # negative weight. Each step is then exactly the plain one, at its cost
+    # at depth 0 every step's weights are (1, 0, ..., 0), so each step is
+    # exactly the plain one, at its cost
     base = lasso_problem(seed=10)
     x0 = np.zeros(base.n)
     gamma = 1.0 / base.f.smoothness
@@ -520,7 +516,7 @@ def plain_passes(prob, rep, k):
     """Whether row k's plain point passes descent_check from row k - 1."""
     x_prev = rep.trace.iterates[k - 1]
     grad = prob.f.grad(x_prev)
-    return descent_check(prob.f.value(rep.trace.x_plain[k]),
+    return descent_check(prob.f.value(pga_step(prob, x_prev, rep.gamma)),
                          prob.f.value(x_prev), float(np.dot(grad, grad)),
                          rep.gamma)
 
@@ -542,7 +538,8 @@ class TestDampedRetry:
             assert descent_check(prob.f.value(xs[k]), prob.f.value(xs[k - 1]),
                                  float(np.dot(grad, grad)), rep.gamma)
             assert plain_passes(prob, rep, k)
-            assert not np.array_equal(xs[k], rep.trace.x_plain[k])
+            assert not np.array_equal(xs[k],
+                                      pga_step(prob, xs[k - 1], rep.gamma))
 
     @pytest.mark.parametrize("case", [cycle_case, nonneg_lasso_case])
     def test_bregman_guard_never_damps(self, case):
@@ -1103,13 +1100,12 @@ class TestRunNesterovPga:
 class TestIterationTrace:
     def test_records_all_columns(self):
         tr = IterationTrace(keep_iterates=True)
-        tr.record(1.5, 0.2, "AA", 0.01, x=np.array([1.0]), x_plain=None)
-        tr.record(1.2, 0.1, "fallback", 0.02, x=np.array([0.5]),
-                  x_plain=np.array([0.6]))
+        tr.record(1.5, 0.2, "AA", 0.01, x=np.array([1.0]))
+        tr.record(1.2, 0.1, "fallback", 0.02, x=np.array([0.5]))
         assert len(tr) == 2
         assert tr.objective == [1.5, 1.2]
         assert tr.step_kind == ["AA", "fallback"]
-        assert len(tr.x_plain) == 2
+        assert len(tr.iterates) == 2
 
     def test_iterates_dropped_when_not_kept(self):
         tr = IterationTrace(keep_iterates=False)
