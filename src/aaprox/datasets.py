@@ -8,6 +8,7 @@ in the seed.
 
 from __future__ import annotations
 
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -178,6 +179,11 @@ def _checked_rows(text: str):
             np.frombuffer(index, dtype=np.int64), np.frombuffer(data))
 
 
+def _not_text(path, exc: UnicodeDecodeError) -> ValueError:
+    """The error for a data file that does not decode, naming the file."""
+    return ValueError("%s: not %s text: %s" % (path, exc.encoding, exc.reason))
+
+
 def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     """Read a LIBSVM text file into a CSR matrix and a label vector.
 
@@ -187,7 +193,7 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     strictly increasing along its line. Raises ValueError naming the first
     offending line on a bad label, a bad index:value token, an index below
     1, past int64 or one that does not increase, and on a file with no data
-    rows.
+    rows; a file that does not decode is a ValueError naming the file.
     Labels that are exactly 0 or 1 are remapped to -1/+1; other label
     values pass through unchanged.
 
@@ -199,7 +205,10 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     token by token, and decides every row or the first error.
     """
     with open(path) as fh:  # decodes, and turns \r\n and \r into \n
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from None
     raw = text.encode("ascii", "replace")  # one byte per character
     if text.isascii():
         text = None  # raw holds the same characters
@@ -230,30 +239,95 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     return DatasetMatrix(A, labels)
 
 
+# Rows per format call of write_libsvm; a block's lists and text stay
+# under glibc's 128 KiB mmap threshold at about 10 entries per row.
+_WRITE_BLOCK = 256
+
+
 def write_libsvm(data: DatasetMatrix, path) -> None:
-    """Write rows in `label index:value ...` form with 1-based indices."""
+    """Write rows in `label index:value ...` form with 1-based indices.
+
+    Labels and values are written with %.17g, which reads back to the same
+    float64. A matrix whose indices are unsorted or repeated within a row
+    is written from a copy with duplicates summed and indices sorted, so
+    parse_libsvm reads every file written; the caller's matrix is left as
+    it is. Each block of rows is formatted by one % call and one write.
+    """
     A = sparse.csr_matrix(data.A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()  # also sorts the indices
+    labels = np.asarray(data.b)
+    if labels.shape != (A.shape[0],):
+        raise ValueError("%d rows need %d labels, got shape %s"
+                         % (A.shape[0], A.shape[0], labels.shape))
+    formats: dict[int, str] = {}  # row format by its number of entries
     with open(path, "w") as fh:
-        for i in range(A.shape[0]):
-            start, end = A.indptr[i], A.indptr[i + 1]
-            pairs = " ".join("%d:%.17g" % (j + 1, v)
-                             for j, v in zip(A.indices[start:end],
-                                             A.data[start:end]))
-            fh.write("%.17g %s\n" % (data.b[i], pairs) if pairs
-                     else "%.17g\n" % data.b[i])
+        for start in range(0, A.shape[0], _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, A.shape[0])
+            ptr = A.indptr[start:stop + 1].tolist()
+            lo, hi = ptr[0], ptr[-1]
+            pairs = [None] * (2 * (hi - lo))  # index, value, index, ...
+            pairs[0::2] = (A.indices[lo:hi].astype(np.int64) + 1).tolist()
+            pairs[1::2] = A.data[lo:hi].tolist()
+            args, text = [], []
+            for label, a, z in zip(labels[start:stop].tolist(), ptr, ptr[1:]):
+                args.append(label)
+                args += pairs[2 * (a - lo):2 * (z - lo)]
+                fmt = formats.get(z - a)
+                if fmt is None:
+                    fmt = formats[z - a] = ("%.17g" + " %d:%.17g" * (z - a)
+                                            + "\n")
+                text.append(fmt)
+            fh.write("".join(text) % tuple(args))
+
+
+def _csv_error(path, has_header: bool, exc: ValueError) -> str:
+    """The message for numpy's refusal exc of the CSV file path: the path
+    and the 1-based line of the first data row that numpy refuses alone or
+    whose column count differs from the first data row's."""
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if has_header and lineno == 1:
+                continue
+            try:
+                row = np.loadtxt([line], delimiter=",", ndmin=2)
+            except ValueError as line_exc:
+                # numpy's row number counts this line alone, so drop it
+                return "%s: line %d: %s" % (
+                    path, lineno, re.sub(r" at row \d+,", " at",
+                                         str(line_exc)))
+            if row.size == 0:  # a blank or comment line
+                continue
+            if width is None:
+                width = row.shape[1]
+            elif row.shape[1] != width:
+                return ("%s: line %d: %d columns where the first data row "
+                        "has %d" % (path, lineno, row.shape[1], width))
+    # not found line by line; numpy counts rows among the data rows
+    return "%s: %s (rows counted after any header)" % (path, exc)
 
 
 def load_dense_csv(path, has_header: bool = False) -> DatasetMatrix:
     """Read a dense CSV whose last column is the label / right-hand side.
 
-    A file with no data rows is a ValueError, as in parse_libsvm.
+    A file with no data rows is a ValueError, as in parse_libsvm. So is a
+    file numpy refuses: the message starts with the path and names the
+    1-based line of the first bad data row.
     """
     with warnings.catch_warnings():
-        # numpy warns on an empty input; the check below raises instead
+        # numpy warns on an empty input, also on each blank line that
+        # _csv_error reads alone; the check below raises instead
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
-        raw = np.loadtxt(path, delimiter=",",
-                         skiprows=1 if has_header else 0, ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",",
+                             skiprows=1 if has_header else 0, ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from None
+        except ValueError as exc:
+            raise ValueError(_csv_error(path, has_header, exc)) from None
     if raw.shape[0] == 0:
         raise ValueError("%s: no data rows" % path)
     if raw.shape[1] < 2:

@@ -507,6 +507,24 @@ class TestMain:
         assert "missing." in message
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("name, content, flags, start", [
+        ("bad.svm", b"+1 1:0.8\n-1 2:\xff\n", [],
+         "bad.svm: not utf-8 text: invalid start byte"),
+        ("bad.csv", b"a1,a2,b\n0.8,0.1,1\n0.3,x,-1\n", ["--csv-has-header"],
+         "bad.csv: line 3: could not convert string"),
+    ], ids=["svm_not_utf8", "csv_bad_cell"])
+    def test_a_bad_data_file_is_named_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, name, content, flags,
+            start):
+        # the LIBSVM file raised a bare UnicodeDecodeError; numpy put the
+        # CSV cell at row 1, counting data rows from 0 after the header
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(content)
+        message = refused(["run", "--problem", "nnls", "--data", name,
+                           *flags, "--out", "o"], capsys)
+        assert message.startswith(start), message
+        assert os.listdir(tmp_path) == [name]
+
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"problem"'],
                              ids=["number", "list", "string"])
     def test_a_config_that_is_not_an_object_writes_nothing(

@@ -1,11 +1,14 @@
 """LIBSVM and CSV readers plus the synthetic instance generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
 from aaprox.datasets import (
+    _WRITE_BLOCK,
     DatasetMatrix,
     generate_kl_instance,
     generate_logreg_instance,
@@ -85,6 +88,14 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match="no data rows"):
             parse_libsvm(p)
 
+    def test_a_file_that_does_not_decode_is_named(self, tmp_path):
+        # a bare UnicodeDecodeError named neither the file nor a line
+        p = tmp_path / "a.svm"
+        p.write_bytes(b"+1 1:0.8\n-1 2:\xff\n")
+        with pytest.raises(ValueError) as info:
+            parse_libsvm(p)
+        assert str(info.value) == "%s: not utf-8 text: invalid start byte" % p
+
     def test_writer_gives_an_empty_row_its_label_alone(self, tmp_path):
         data = DatasetMatrix(sparse.csr_matrix([[0.0, 2.5], [0.0, 0.0]]),
                              np.array([3.0, -2.0]))
@@ -105,6 +116,108 @@ class TestParseLibsvm:
         assert_allclose(back.A.toarray(), A.toarray(), rtol=0)
         assert_allclose(back.b, b, rtol=0)
 
+
+
+def write_libsvm_by_row(data, path):
+    """The writer as it was, one format call per entry: the reference for
+    the bytes of write_libsvm on a matrix already in canonical order."""
+    A = sparse.csr_matrix(data.A)
+    with open(path, "w") as fh:
+        for i in range(A.shape[0]):
+            start, end = A.indptr[i], A.indptr[i + 1]
+            pairs = " ".join("%d:%.17g" % (j + 1, v)
+                             for j, v in zip(A.indices[start:end],
+                                             A.data[start:end]))
+            fh.write("%.17g %s\n" % (data.b[i], pairs) if pairs
+                     else "%.17g\n" % data.b[i])
+
+
+def _random_rows(M, n=7, dtype=np.float64, seed=0):
+    """An M x n matrix with empty rows and explicitly stored zeros."""
+    rng = np.random.default_rng(seed)
+    A = sparse.random(M, n, density=0.4, random_state=seed, format="csr",
+                      dtype=np.float64)
+    A.data = (rng.standard_normal(A.nnz) * 1e3).astype(dtype)
+    A.data[::5] = 0  # stored, so written
+    return A
+
+
+class TestWriteLibsvm:
+    """write_libsvm formats a block of rows per call and writes the bytes
+    of the per-row loop above."""
+
+    @pytest.mark.parametrize("make_A, b", [
+        (lambda: _random_rows(30).toarray(), np.arange(30.0) - 9.5),
+        (lambda: _random_rows(30).tocsc(), np.arange(30.0) + 0.1),
+        (lambda: _random_rows(30).tocoo(), np.arange(30.0) / 7),
+        (lambda: _random_rows(30, dtype=np.float32), np.full(30, 1.0)),
+        (lambda: _random_rows(30, dtype=np.int64), np.arange(30) - 15),
+        (lambda: _random_rows(30), np.where(np.arange(30) % 2, 1, -1)),
+        (lambda: _random_rows(0), np.zeros(0)),
+        (lambda: _random_rows(1), np.array([2.5])),
+        (lambda: _random_rows(2 * _WRITE_BLOCK + 1, n=40, seed=2),
+         np.linspace(-3.0, 3.0, 2 * _WRITE_BLOCK + 1)),
+        (lambda: sparse.csr_matrix((3, 4)), np.array([1.0, -0.0, 0.5])),
+    ], ids=["dense", "csc", "coo", "float32", "int_data", "int_labels",
+            "no_rows", "one_row", "two_blocks_plus_one", "all_rows_empty"])
+    def test_same_bytes_as_the_per_row_loop(self, tmp_path, make_A, b):
+        data = DatasetMatrix(make_A(), b)
+        write_libsvm(data, tmp_path / "new.svm")
+        write_libsvm_by_row(data, tmp_path / "old.svm")
+        assert ((tmp_path / "new.svm").read_bytes()
+                == (tmp_path / "old.svm").read_bytes())
+
+    def test_the_cases_above_hold_empty_rows_and_stored_zeros(self):
+        A = _random_rows(30)
+        assert (np.diff(A.indptr) == 0).any()
+        assert (A.data == 0).any()
+
+    @pytest.mark.parametrize("A, expected", [
+        (sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 2, 3]),
+                           shape=(2, 3)),
+         "1 1:2 3:1\n-1 2:3\n"),
+        (sparse.csr_matrix(([1.0, 2.0, 4.0, 8.0], [2, 0, 2, 1],
+                            [0, 3, 4]), shape=(2, 3)),
+         "1 1:2 3:5\n-1 2:8\n"),
+    ], ids=["unsorted", "duplicates"])
+    def test_a_matrix_not_in_canonical_order_is_written_readable(
+            self, tmp_path, A, expected):
+        # each was written in stored order, which parse_libsvm refuses
+        indices, values = A.indices.copy(), A.data.copy()
+        p = tmp_path / "a.svm"
+        write_libsvm(DatasetMatrix(A, np.array([1.0, -1.0])), p)
+        assert p.read_text() == expected
+        back = parse_libsvm(p, n_features=3)
+        assert np.array_equal(back.A.toarray(), A.toarray())
+        # the caller's matrix is left as it was
+        assert np.array_equal(A.indices, indices)
+        assert np.array_equal(A.data, values)
+
+    @pytest.mark.parametrize("b", [np.ones(2), np.ones(4), np.ones((3, 1))],
+                             ids=["short", "long", "column"])
+    def test_labels_must_match_the_rows(self, tmp_path, b):
+        # a short vector raised IndexError after the first rows were
+        # written; a long one lost its extra labels
+        with pytest.raises(ValueError, match="3 rows need 3 labels"):
+            write_libsvm(DatasetMatrix(sparse.eye(3, format="csr"), b),
+                         tmp_path / "a.svm")
+
+    def test_memory_stays_at_a_block(self, tmp_path):
+        # writing the whole 20000-row file in one call peaked at 28 MB
+        M, n, per_row = 20000, 2000, 10
+        rng = np.random.default_rng(5)
+        A = sparse.csr_matrix(
+            (rng.standard_normal(M * per_row),
+             (np.repeat(np.arange(M), per_row),
+              rng.integers(0, n, size=M * per_row))), shape=(M, n))
+        b = np.where(rng.random(M) < 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            write_libsvm(DatasetMatrix(A, b), tmp_path / "big.svm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 class TestParseLibsvmRowChecks:
@@ -339,6 +452,32 @@ class TestLoadDenseCsv:
         p.write_text(text)
         with pytest.raises(ValueError, match="d.csv: no data rows"):
             load_dense_csv(p, has_header=has_header)
+
+
+    @pytest.mark.parametrize("text, has_header, start", [
+        ("f1,f2,y\n1,2,3\n4,x,6\n", True,
+         "d.csv: line 3: could not convert string 'x'"),
+        ("# note\n1,2,3\n\n4,x,6\n", False,
+         "d.csv: line 4: could not convert string 'x'"),
+        ("f1,f2,y\n1,2,3\n\n4,5\n", True,
+         "d.csv: line 4: 2 columns where the first data row has 3"),
+    ], ids=["bad_cell", "past_blank_and_comment", "short_row"])
+    def test_a_bad_row_names_the_file_and_its_line(self, tmp_path, text,
+                                                   has_header, start):
+        # numpy counted data rows, from 0 or 1 as the message went, and
+        # never named the file
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_dense_csv(p, has_header=has_header)
+        assert str(info.value).startswith(str(p)), info.value
+        assert start in str(info.value), info.value
+
+    def test_a_file_that_does_not_decode_is_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(ValueError, match="d.csv: not utf-8 text"):
+            load_dense_csv(p)
 
 
 class TestGenerators:
