@@ -184,6 +184,52 @@ def _not_text(path, exc: UnicodeDecodeError) -> ValueError:
     return ValueError("%s: not %s text: %s" % (path, exc.encoding, exc.reason))
 
 
+# Characters per read of parse_libsvm's numpy pass, which holds one block
+# of whole lines at a time besides the rows read so far.
+_READ_BLOCK = 2**18
+
+
+def _numpy_blocks(fh):
+    """Labels, pairs per row, int64 indices and values of every line of the
+    text file fh, read by the numpy pass a block of whole lines at a time;
+    None at the first block holding a line the pass leaves to the row
+    checker, and for a text with no token."""
+    columns = ([], [], [], [])
+    carry = ""  # the partial last line of the block before
+    while True:
+        chunk = fh.read(_READ_BLOCK)
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:  # a line longer than a block
+            carry += chunk
+            continue
+        # one byte per character; a non-ASCII one reads as "?"
+        raw = (carry + chunk[:cut]).encode("ascii", "replace")
+        carry = chunk[cut:]
+        n_tokens, n_colons, odd = _scan_lines(raw, np.flatnonzero(
+            np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
+        # np.fromstring reads a number from blanks alone, so a block of
+        # blank lines, which holds no row, is not read
+        if n_tokens.any():
+            rows = None if odd.any() else _numpy_rows(raw, n_tokens, n_colons)
+            if rows is None:
+                return None
+            labels, pairs, index, data = rows
+            for column, part in zip(columns, (labels, pairs,
+                                              index.astype(np.int64),
+                                              np.ascontiguousarray(data))):
+                column.append(part)
+            del rows, index, data  # the block's numbers, before the next read
+        if not chunk:
+            break
+    if not columns[0]:
+        return None
+    joined = []
+    for column in columns:  # a column's blocks are freed once it is joined
+        joined.append(np.concatenate(column))
+        column.clear()
+    return joined
+
+
 def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     """Read a LIBSVM text file into a CSR matrix and a label vector.
 
@@ -197,27 +243,24 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     Labels that are exactly 0 or 1 are remapped to -1/+1; other label
     values pass through unchanged.
 
-    The file is read once, and one numpy pass converts every number. Where
+    The file is read a block of whole lines at a time, and one numpy pass
+    per block converts its numbers, so the read holds the rows read so far
+    plus one block, and one column twice while the blocks are joined. Where
     that pass cannot take some line (a byte other than blanks, colons and
     decimal number characters, a misplaced colon, an index that is not 1
     to 15 digits), misreads a number or finds an index that does not
-    increase, the row checker reads the whole file again, line by line and
-    token by token, and decides every row or the first error.
+    increase, the blocks read are dropped and the row checker reads the
+    whole file again, line by line and token by token, and decides every
+    row or the first error.
     """
     with open(path) as fh:  # decodes, and turns \r\n and \r into \n
         try:
-            text = fh.read()
+            rows = _numpy_blocks(fh)
+            if rows is None:
+                fh.seek(0)
+                rows = _checked_rows(fh.read())
         except UnicodeDecodeError as exc:
             raise _not_text(path, exc) from None
-    raw = text.encode("ascii", "replace")  # one byte per character
-    if text.isascii():
-        text = None  # raw holds the same characters
-    n_tokens, n_colons, odd = _scan_lines(
-        raw, np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
-    rows = None if odd.any() else _numpy_rows(raw, n_tokens, n_colons)
-    if rows is None:
-        rows = _checked_rows(raw.decode("ascii") if text is None else text)
-    del raw, text
     labels, pairs, index, data = rows
     del rows
 
@@ -229,9 +272,7 @@ def parse_libsvm(path, n_features: int | None = None) -> DatasetMatrix:
     if n_features is not None and max_col > n_features:
         raise ValueError("file has feature index %d > n_features %d"
                          % (max_col, n_features))
-    index = np.array(index, dtype=np.int64)
     index -= 1
-    data = np.ascontiguousarray(data)
     indptr = np.append(0, np.cumsum(pairs))
     A = sparse.csr_matrix((data, index, indptr), shape=(n_rows, n_cols))
     if set(np.unique(labels)) <= {0.0, 1.0}:
@@ -340,8 +381,8 @@ def _conditioned_matrix(rng, M, n, cond):
     k = min(M, n)
     u, _ = np.linalg.qr(rng.standard_normal((M, k)))
     v, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    s = np.logspace(0.0, -np.log10(cond), k)
-    return (u * s) @ v.T
+    u *= np.logspace(0.0, -np.log10(cond), k)  # the singular values
+    return u @ v.T
 
 
 def generate_logreg_instance(M: int, n: int, seed: int = 0,

@@ -142,6 +142,17 @@ def _random_rows(M, n=7, dtype=np.float64, seed=0):
     return A
 
 
+def _big_rows():
+    """20000 x 2000 with 10 entries per row, a file of about 5 MB."""
+    M, n, per_row = 20000, 2000, 10
+    rng = np.random.default_rng(5)
+    A = sparse.csr_matrix(
+        (rng.standard_normal(M * per_row),
+         (np.repeat(np.arange(M), per_row),
+          rng.integers(0, n, size=M * per_row))), shape=(M, n))
+    return DatasetMatrix(A, np.where(rng.random(M) < 0.5, 1.0, -1.0))
+
+
 class TestWriteLibsvm:
     """write_libsvm formats a block of rows per call and writes the bytes
     of the per-row loop above."""
@@ -204,20 +215,27 @@ class TestWriteLibsvm:
 
     def test_memory_stays_at_a_block(self, tmp_path):
         # writing the whole 20000-row file in one call peaked at 28 MB
-        M, n, per_row = 20000, 2000, 10
-        rng = np.random.default_rng(5)
-        A = sparse.csr_matrix(
-            (rng.standard_normal(M * per_row),
-             (np.repeat(np.arange(M), per_row),
-              rng.integers(0, n, size=M * per_row))), shape=(M, n))
-        b = np.where(rng.random(M) < 0.5, 1.0, -1.0)
+        data = _big_rows()
         tracemalloc.start()
         try:
-            write_libsvm(DatasetMatrix(A, b), tmp_path / "big.svm")
+            write_libsvm(data, tmp_path / "big.svm")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
+
+    def test_reading_the_file_back_stays_at_a_block(self, tmp_path):
+        # the 5 MB file read whole peaked at 16 MB; the arrays it gives take
+        # 2.6 MB
+        p = tmp_path / "big.svm"
+        write_libsvm(_big_rows(), p)
+        tracemalloc.start()
+        try:
+            parse_libsvm(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestParseLibsvmRowChecks:
@@ -416,6 +434,117 @@ class TestParseLibsvmRowChecks:
         assert A.indices.flags.c_contiguous
         assert A.indptr.flags.c_contiguous
 
+
+def _same_bits(a, b):
+    """Whether two parsed files hold the same arrays, bit for bit."""
+    return (a.shape == b.shape and a.A.indices.dtype == b.A.indices.dtype
+            and all(x.tobytes() == y.tobytes() for x, y in [
+                (a.A.data, b.A.data), (a.A.indices, b.A.indices),
+                (a.A.indptr, b.A.indptr), (a.b, b.b)]))
+
+
+def _no_checker(line, lineno):
+    raise AssertionError("the row checker read line %d" % lineno)
+
+
+class TestParseLibsvmBlocks:
+    """The numpy pass reads a block of whole lines at a time: any block
+    size gives the arrays of a single block, and the errors of the whole
+    file."""
+
+    # 8191 characters then \r\n: the \r ends the first 8192-byte chunk the
+    # text layer decodes
+    LONG = "1 1:" + "0" * 8186 + "1"
+
+    @pytest.mark.parametrize("content", [
+        "+1 1:0.5 3:2\n-1 2:1\n0 1:1e-3 7:-2.5E+4\n3.5\n1\t2:.5 3:-0\n",
+        "+1 1:0.5\r\n-1 2:1 3:4\r\n\r\n1 1:1\r\n",
+        LONG + "\r\n-1 2:1\r\n",
+        " ".join(["1"] + ["%d:%d.25" % (j, j) for j in range(1, 80)])
+        + "\n-1 1:1\n",
+        "1 1:1\n-1 2:2 3:3",
+        "1 1:1\n\n \t \n-1 2:2\n   \n\n1 3:3\n\n\t\n",
+    ], ids=["mixed", "crlf", "crlf_at_a_chunk_edge", "line_past_a_block",
+            "no_final_newline", "blank_lines"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_any_block_size_gives_the_same_arrays(self, tmp_path,
+                                                  monkeypatch, content,
+                                                  block):
+        from aaprox import datasets
+
+        p = tmp_path / "a.svm"
+        p.write_bytes(content.encode())
+        whole = parse_libsvm(p)
+        monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        monkeypatch.setattr(datasets, "_check_row", _no_checker)
+        assert _same_bits(parse_libsvm(p), whole)
+
+    def test_written_rows_over_many_blocks(self, tmp_path, monkeypatch):
+        # the writer's rows, empty ones among them, over many blocks
+        from aaprox import datasets
+
+        data = DatasetMatrix(_random_rows(300), np.linspace(-2.0, 2.0, 300))
+        p = tmp_path / "a.svm"
+        write_libsvm(data, p)
+        whole = parse_libsvm(p, n_features=7)
+        monkeypatch.setattr(datasets, "_check_row", _no_checker)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+            assert _same_bits(parse_libsvm(p, n_features=7), whole)
+        assert np.array_equal(whole.A.toarray(), data.A.toarray())
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_checker_line_in_the_last_block_sends_every_line(
+            self, tmp_path, monkeypatch, block):
+        from aaprox import datasets
+
+        lines = ["%d %d:0.5 %d:1.5" % (i % 2, i + 1, i + 3)
+                 for i in range(50)]
+        lines[-1] = "nan 50:0.5 52:1.5"
+        p = tmp_path / "a.svm"
+        p.write_text("\n".join(lines) + "\n")
+        whole = parse_libsvm(p)
+        seen = []
+        original = datasets._check_row
+
+        def check_row(line, lineno):
+            seen.append(lineno)
+            return original(line, lineno)
+
+        monkeypatch.setattr(datasets, "_check_row", check_row)
+        monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        data = parse_libsvm(p)
+        assert seen == list(range(1, 52))  # with the empty line after \n
+        assert _same_bits(data, whole)
+        assert np.isnan(data.b[-1]) and data.shape == (50, 52)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_late_byte_that_does_not_decode_is_named(
+            self, tmp_path, monkeypatch, block):
+        from aaprox import datasets
+
+        monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        p = tmp_path / "a.svm"
+        p.write_bytes(b"+1 1:0.8\n" * 200 + b"-1 2:\xff\n+1 1:1\n")
+        with pytest.raises(ValueError) as info:
+            parse_libsvm(p)
+        assert str(info.value) == "%s: not utf-8 text: invalid start byte" % p
+
+    @pytest.mark.parametrize("content", ["", "\n\n", " \t\n\n   ",
+                                         "\r\n \r\n"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_file_without_rows_is_refused(self, tmp_path, monkeypatch,
+                                            content, block):
+        from aaprox import datasets
+
+        monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        p = tmp_path / "a.svm"
+        p.write_bytes(content.encode())
+        with pytest.raises(ValueError) as info:
+            parse_libsvm(p)
+        assert str(info.value) == "%s: no data rows" % p
+
+
 class TestLoadDenseCsv:
     def test_last_column_is_the_response(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -490,6 +619,26 @@ class TestGenerators:
         c = gen(30, 10, seed=8)
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
         assert not np.array_equal(a.A, c.A)
+
+    @pytest.mark.parametrize("shape", [(200, 100), (100, 200), (60, 20)])
+    @pytest.mark.parametrize("gen", [generate_logreg_instance,
+                                     generate_nnls_instance])
+    def test_same_floats_as_scaling_a_copy(self, monkeypatch, gen, shape):
+        # u is scaled in place; scaling a copy first gives the same bits
+        from aaprox import datasets
+
+        def scaled_copy(rng, M, n, cond):
+            k = min(M, n)
+            u, _ = np.linalg.qr(rng.standard_normal((M, k)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+            s = np.logspace(0.0, -np.log10(cond), k)
+            return (u * s) @ v.T
+
+        new = gen(*shape, seed=3)
+        monkeypatch.setattr(datasets, "_conditioned_matrix", scaled_copy)
+        old = gen(*shape, seed=3)
+        assert new.A.tobytes() == old.A.tobytes()
+        assert new.b.tobytes() == old.b.tobytes()
 
     def test_logreg_shapes_and_labels(self):
         data = generate_logreg_instance(50, 20, seed=0)
