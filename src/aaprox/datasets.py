@@ -195,22 +195,20 @@ def _numpy_blocks(fh):
     None at the first block holding a line the pass leaves to the row
     checker, and for a text with no token."""
     columns = ([], [], [], [])
-    carry = ""  # the partial last line of the block before
-    while True:
-        chunk = fh.read(_READ_BLOCK)
-        cut = chunk.rfind("\n") + 1
-        if chunk and not cut:  # a line longer than a block
-            carry += chunk
-            continue
+    # at least one whole line per block, so a line longer than a block is
+    # a block of its own
+    while lines := fh.readlines(_READ_BLOCK):
         # one byte per character; a non-ASCII one reads as "?"
-        raw = (carry + chunk[:cut]).encode("ascii", "replace")
-        carry = chunk[cut:]
+        raw = "".join(lines).encode("ascii", "replace")
+        del lines
         n_tokens, n_colons, odd = _scan_lines(raw, np.flatnonzero(
             np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
+        if odd.any():
+            return None
         # np.fromstring reads a number from blanks alone, so a block of
         # blank lines, which holds no row, is not read
         if n_tokens.any():
-            rows = None if odd.any() else _numpy_rows(raw, n_tokens, n_colons)
+            rows = _numpy_rows(raw, n_tokens, n_colons)
             if rows is None:
                 return None
             labels, pairs, index, data = rows
@@ -219,8 +217,6 @@ def _numpy_blocks(fh):
                                               np.ascontiguousarray(data))):
                 column.append(part)
             del rows, index, data  # the block's numbers, before the next read
-        if not chunk:
-            break
     if not columns[0]:
         return None
     joined = []

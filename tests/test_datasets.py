@@ -530,6 +530,43 @@ class TestParseLibsvmBlocks:
             parse_libsvm(p)
         assert str(info.value) == "%s: not utf-8 text: invalid start byte" % p
 
+    @pytest.mark.parametrize("late, message", [
+        ("1 3:1 2:1", "line 51: index 2 does not increase"),
+        ("1 1:1.2.3", "line 51: bad feature token '1:1.2.3'"),
+    ], ids=["index_not_increasing", "number_misread"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_late_line_the_numbers_refuse_is_named(
+            self, tmp_path, monkeypatch, late, message, block):
+        # the scan passes these lines; the numbers of their block do not
+        from aaprox import datasets
+
+        monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        p = tmp_path / "a.svm"
+        p.write_text("+1 1:0.8\n" * 50 + late + "\n+1 1:1\n")
+        with pytest.raises(ValueError) as info:
+            parse_libsvm(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("content, line", [
+        (b"1 1:1\n" + b"\x00" * 10, 2),  # a preallocated or cut-off tail
+        (b"1 1:1\n\x01\n", 2),
+        (b"\x00\n\n1 1:1\n", 1),
+    ], ids=["nul_tail", "control_line", "nul_first"])
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    def test_a_control_byte_line_without_tokens_is_refused(
+            self, tmp_path, monkeypatch, content, line, block):
+        # the scan counts control bytes as blanks, so such a line has no
+        # token; it still goes to the row checker, which refuses it
+        from aaprox import datasets
+
+        if block is not None:
+            monkeypatch.setattr(datasets, "_READ_BLOCK", block)
+        p = tmp_path / "a.svm"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match="^line %d: bad label '\\\\x0"
+                           % line):
+            parse_libsvm(p)
+
     @pytest.mark.parametrize("content", ["", "\n\n", " \t\n\n   ",
                                          "\r\n \r\n"])
     @pytest.mark.parametrize("block", [1, 7, 64])
