@@ -4,7 +4,7 @@ Every run writes trace.csv (one row per iteration) and summary.json into
 the output directory. Running several methods on the same instance writes
 trace_<method>.csv per method plus a combined summary. Given the same
 config and seed, output files are identical except for the elapsed_s
-column.
+column and summary.json's wall_time_s and config.out.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .solvers import (_step_size, run_aa_pga, run_guarded_aa_pga,
 
 __all__ = [
     "ExperimentConfig",
-    "ProblemSetup",
     "assemble_problem",
     "main",
     "run_experiment",
@@ -168,15 +167,6 @@ class ExperimentConfig:
         return cls(**fields)
 
 
-@dataclass
-class ProblemSetup:
-    kind: str                 # "euclidean" or "bregman"
-    problem: object
-    gamma: float
-    x0: np.ndarray
-    y0: np.ndarray | None = None  # mirror image of x0; x0 when Euclidean
-
-
 def _load_data(config: ExperimentConfig):
     if config.data is not None:
         if config.data.endswith(".csv"):
@@ -192,16 +182,15 @@ def _load_data(config: ExperimentConfig):
     return generate_kl_instance(M, n, config.seed)
 
 
-def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
+def assemble_problem(config: ExperimentConfig) -> tuple:
     """Build the optimization problem an experiment runs on.
 
-    Each problem picks its loss, its nonsmooth term and its start x0. The
-    step is config.gamma when set, else 1/L for the loss's smoothness
-    constant L (relative smoothness for kl_l1, 25 for counterexample), by
-    solvers._step_size; an unset step with L = 0 is a ValueError. y0 is
-    the mirror image of x0: grad phi(x0) under the Shannon kernel of
-    kl_l1, and x0 itself on the Euclidean problems, whose energy kernel has
-    the identity as its mirror map.
+    Returns (problem, gamma, x0). Each problem picks its loss, its
+    nonsmooth term and its start x0. The problem is a CompositeProblem, or
+    for kl_l1 a BregmanProblem under the Shannon kernel. The step gamma is
+    config.gamma when set, else 1/L for the loss's smoothness constant L
+    (relative smoothness for kl_l1, 25 for counterexample), by
+    solvers._step_size; an unset step with L = 0 is a ValueError.
     """
     if config.problem == "counterexample":
         loss, h, x0 = PiecewiseLoss(), zero_term(), np.array([2.1])
@@ -228,18 +217,16 @@ def assemble_problem(config: ExperimentConfig) -> ProblemSetup:
             h, x0 = l1_term(config.lam), np.ones(n)
     gamma = _step_size(loss, config.gamma)
     if config.problem == "kl_l1":
-        problem = BregmanProblem(shannon_kernel(), loss, h, gamma, x0.size)
-        return ProblemSetup("bregman", problem, gamma, x0,
-                            problem.kernel.grad(x0))
-    return ProblemSetup("euclidean", CompositeProblem(loss, h, x0.size),
-                        gamma, x0, x0)
+        return (BregmanProblem(shannon_kernel(), loss, h, gamma, x0.size),
+                gamma, x0)
+    return CompositeProblem(loss, h, x0.size), gamma, x0
 
 
-def _run_method(method: str, setup: ProblemSetup, config: ExperimentConfig):
+def _run_method(method: str, problem, gamma: float, x0,
+                config: ExperimentConfig):
     aa = AAConfig(m=config.m)
     kwargs = dict(tol=config.tol, max_iters=config.max_iters)
-    problem, x0, gamma = setup.problem, setup.x0, setup.gamma
-    if method in BREGMAN_METHODS and setup.kind == "euclidean":
+    if method in BREGMAN_METHODS and not isinstance(problem, BregmanProblem):
         problem = BregmanProblem(energy_kernel(), problem.f, problem.h,
                                  gamma, problem.n)
     if method == "pga":
@@ -252,7 +239,8 @@ def _run_method(method: str, setup: ProblemSetup, config: ExperimentConfig):
         return run_nesterov_pga(problem, x0, gamma, **kwargs)
     if method == "bpg":
         return run_bpg(problem, x0, **kwargs)
-    return run_guarded_aa_bpg(problem, setup.y0, aa, **kwargs)
+    # the mirror start grad phi(x0); x0 itself under the energy kernel
+    return run_guarded_aa_bpg(problem, problem.kernel.grad(x0), aa, **kwargs)
 
 
 def _write_trace(path, report, best_objective: float) -> None:
@@ -275,11 +263,11 @@ def _write_trace(path, report, best_objective: float) -> None:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run every configured method on one shared instance; write outputs."""
-    setup = assemble_problem(config)
+    problem, gamma, x0 = assemble_problem(config)
     os.makedirs(config.out, exist_ok=True)
     reports = {}
     for method in config.methods:
-        reports[method] = _run_method(method, setup, config)
+        reports[method] = _run_method(method, problem, gamma, x0, config)
 
     finite_objs = [o for rep in reports.values() for o in rep.trace.objective
                    if np.isfinite(o)]

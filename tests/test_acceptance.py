@@ -1,4 +1,5 @@
-"""End-to-end acceptance checks, one test per numbered criterion.
+"""End-to-end acceptance checks, one test per numbered criterion, plus the
+Euclidean benchmark runs measured against optima that scipy computes.
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion; each passing test also prints the measured quantities behind it
@@ -12,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize, nnls
+from scipy.special import expit
 
 from aaprox.anderson import AAConfig, AndersonEngine, QrWindow, run_anderson, \
     solve_coefficients
@@ -118,6 +120,41 @@ def benchmarks():
             plain_budget=pl_it)
 
     return {"instances": instances, "elapsed": time.perf_counter() - t0}
+
+
+def pg_residual(x, grad, lo, hi):
+    """Largest entry of x - clip(x - grad, lo, hi): 0 at a stationary x."""
+    return float(np.max(np.abs(x - np.clip(x - grad, lo, hi))))
+
+
+@pytest.fixture(scope="module")
+def outside_optima(benchmarks):
+    """F* of the two Euclidean benchmark instances, computed by scipy.
+
+    logreg from L-BFGS-B with the box [-20, 20] as bounds, on the loss
+    written out here; nnls from scipy.optimize.nnls. Each minimizer's
+    projected-gradient residual is checked, not scipy's message.
+    """
+    f = benchmarks["instances"]["logreg"]["problem"].f
+    A, y, mu, M = f.A, f.y, f.mu, f.M
+
+    def logreg(x):
+        t = -y * (A @ x)
+        return (float(np.mean(np.logaddexp(0.0, t)) + mu * (x @ x)),
+                A.T @ (-y * expit(t)) / M + 2.0 * mu * x)
+
+    x = minimize(logreg, np.zeros(f.n), jac=True, method="L-BFGS-B",
+                 bounds=[(-20.0, 20.0)] * f.n,
+                 options=dict(maxiter=20000, maxcor=30, ftol=0.0,
+                              gtol=1e-14)).x
+    logreg_star, grad = logreg(x)
+    assert pg_residual(x, grad, -20.0, 20.0) <= 1e-9
+
+    f = benchmarks["instances"]["nnls"]["problem"].f
+    x, _ = nnls(f.A, f.b)
+    r = f.A @ x - f.b
+    assert pg_residual(x, f.A.T @ r / f.M, 0.0, np.inf) <= 1e-9
+    return {"logreg": logreg_star, "nnls": float(r @ r) / (2.0 * f.M)}
 
 
 def test_criterion_01_cycle_exactness():
@@ -442,6 +479,34 @@ def test_criterion_10_desk_scale_speedup(benchmarks):
     announce(10, "desk-scale speedup",
              "%s; kl_hard tail slope %.2e; %.1fs total"
              % ("; ".join(details), slope, elapsed))
+
+
+# (relative target, rows the guarded run may take to reach it): the rows
+# measured against the outside F* plus about 10%. Guarded nnls stalls at a
+# gap of 5.1e-9 (ROADMAP item 3), so it has no 1e-10 target.
+OUTSIDE_TARGETS = {"logreg": ((1e-6, 30), (1e-10, 64)),
+                   "nnls": ((1e-6, 300), (1e-8, 1060))}
+
+
+def test_euclidean_runs_against_outside_optima(benchmarks, outside_optima):
+    details = []
+    for name, targets in OUTSIDE_TARGETS.items():
+        inst = benchmarks["instances"][name]
+        f_star = outside_optima[name]
+        gaps = {}
+        for run in ("guarded", "plain"):
+            objs = np.array(inst[run].trace.objective)
+            gaps[run] = (objs - f_star) / max(1.0, abs(f_star))
+            # no iterate is better than the optimum, beyond rounding
+            assert gaps[run].min() >= -1e-12, (name, run, gaps[run].min())
+        for target, budget in targets:
+            kg = first_hit(gaps["guarded"], 0.0, target)
+            kp = first_hit(gaps["plain"], 0.0, target)
+            assert kg is not None and kg <= budget, (name, target, kg)
+            assert kg <= (inst["plain_budget"] if kp is None else kp), \
+                (name, target, kg, kp)
+            details.append("%s %.0e %d vs %s" % (name, target, kg, kp))
+    print("outside optima: PASS (%s)" % "; ".join(details))
 
 
 def test_criterion_11_qr_economy(monkeypatch):

@@ -10,16 +10,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aaprox.bregman import BregmanProblem
+from aaprox.anderson import AAConfig
+from aaprox.bregman import (BregmanProblem, energy_kernel, run_guarded_aa_bpg,
+                            shannon_kernel)
 from aaprox.cli import (
     ExperimentConfig,
-    ProblemSetup,
     assemble_problem,
     main,
     run_experiment,
 )
 from aaprox.counterexample import CYCLE_POINT, STEP
-from aaprox.datasets import DatasetMatrix, write_libsvm
+from aaprox.datasets import (DatasetMatrix, generate_kl_instance,
+                             generate_nnls_instance, write_libsvm)
+from aaprox.problems import (CompositeProblem, kl_loss, l1_term,
+                             least_squares_loss, nonneg_indicator)
 
 
 def read_trace(path):
@@ -104,45 +108,43 @@ class TestExperimentConfig:
 
 class TestAssembleProblem:
     def test_quadratic_defaults(self):
-        setup = assemble_problem(ExperimentConfig(problem="quadratic", seed=3))
-        assert setup.kind == "euclidean"
-        assert setup.problem.n == 20
-        assert setup.gamma == pytest.approx(1e-2, rel=1e-12)  # top eig 100
-        assert_allclose(setup.x0, np.zeros(20))
-        # the energy kernel's mirror map is the identity
-        assert setup.y0 is setup.x0
+        problem, gamma, x0 = assemble_problem(
+            ExperimentConfig(problem="quadratic", seed=3))
+        assert type(problem) is CompositeProblem
+        assert problem.n == 20
+        assert gamma == pytest.approx(1e-2, rel=1e-12)  # top eig 100
+        assert_allclose(x0, np.zeros(20))
 
     def test_gamma_override(self):
         cfg = ExperimentConfig(problem="quadratic", gamma=0.5)
-        assert assemble_problem(cfg).gamma == 0.5
+        assert assemble_problem(cfg)[1] == 0.5
 
     def test_counterexample_setup(self):
-        setup = assemble_problem(ExperimentConfig(problem="counterexample"))
-        assert setup.kind == "euclidean"
-        assert setup.gamma == STEP
-        assert_allclose(setup.x0, [2.1])
-        assert setup.problem.f.smoothness == 25.0
-        assert setup.problem.objective(np.array([1.0])) == 12.5
+        problem, gamma, x0 = assemble_problem(
+            ExperimentConfig(problem="counterexample"))
+        assert type(problem) is CompositeProblem
+        assert gamma == STEP
+        assert_allclose(x0, [2.1])
+        assert problem.f.smoothness == 25.0
+        assert problem.objective(np.array([1.0])) == 12.5
 
     def test_kl_l1_is_a_bregman_setup(self):
         cfg = ExperimentConfig(problem="kl_l1", methods=["bpg"],
                                synth=(30, 10), lam=0.01)
-        setup = assemble_problem(cfg)
-        assert setup.kind == "bregman"
-        assert isinstance(setup.problem, BregmanProblem)
-        assert setup.problem.kernel.name == "shannon"
-        assert setup.problem.h.params["lam"] == 0.01
-        assert_allclose(setup.x0, np.ones(10))
-        # mirror image of the all-ones start: grad phi(1) = 1 + log 1 = 1
-        assert_allclose(setup.y0, np.ones(10))
+        problem, gamma, x0 = assemble_problem(cfg)
+        assert isinstance(problem, BregmanProblem)
+        assert problem.kernel.name == "shannon"
+        assert problem.gamma == gamma
+        assert problem.h.params["lam"] == 0.01
+        assert_allclose(x0, np.ones(10))
 
     def test_logreg_box_setup(self):
         cfg = ExperimentConfig(problem="logreg_box", methods=["pga"],
                                synth=(40, 12), mu=0.01)
-        setup = assemble_problem(cfg)
-        assert setup.kind == "euclidean"
-        assert setup.problem.h.kind == "box"
-        assert setup.gamma == pytest.approx(1.0 / setup.problem.f.smoothness)
+        problem, gamma, _ = assemble_problem(cfg)
+        assert type(problem) is CompositeProblem
+        assert problem.h.kind == "box"
+        assert gamma == pytest.approx(1.0 / problem.f.smoothness)
 
     def test_data_problems_need_a_source(self):
         cfg = ExperimentConfig(problem="nnls", methods=["pga"])
@@ -164,10 +166,10 @@ class TestAssembleProblem:
             write_libsvm(DatasetMatrix(A, b), p)
         cfg = ExperimentConfig(problem="nnls", methods=["pga"], data=str(p),
                                csv_has_header=header)
-        setup = assemble_problem(cfg)
-        assert setup.problem.n == 3
+        problem = assemble_problem(cfg)[0]
+        assert problem.n == 3
         x = np.array([0.5, 1.0, 1.5])
-        assert setup.problem.f.value(x) == pytest.approx(
+        assert problem.f.value(x) == pytest.approx(
             np.sum((A @ x - b) ** 2) / 20, rel=1e-12)
 
 
@@ -276,6 +278,33 @@ class TestRunExperiment:
             assert np.isfinite(rep.trace.objective[-1])
         _, cols = read_trace(out / "trace_guarded_aa_bpg.csv")
         assert np.all(np.array([float(v) for v in cols["subopt"]]) >= 0.0)
+
+    @pytest.mark.parametrize("problem, iters", [("nnls", 80),
+                                                ("kl_l1", 300)])
+    def test_guarded_bpg_starts_from_the_mirror_image_of_x0(
+            self, tmp_path, problem, iters):
+        # nnls runs under the energy kernel, whose mirror map is the identity;
+        # kl_l1 under the Shannon kernel, from grad phi(1)
+        cfg = ExperimentConfig(problem=problem, methods=["guarded_aa_bpg"],
+                               synth=(60, 20), tol=0.0, max_iters=iters,
+                               out=str(tmp_path / "o"))
+        got = run_experiment(cfg)["guarded_aa_bpg"]
+        if problem == "nnls":
+            data = generate_nnls_instance(60, 20, 0)
+            f, h = least_squares_loss(data.A, data.b), nonneg_indicator()
+            kernel, x0 = energy_kernel(), np.zeros(20)
+        else:
+            data = generate_kl_instance(60, 20, 0)
+            f, h = kl_loss(data.A, data.b), l1_term(0.001)
+            kernel, x0 = shannon_kernel(), np.ones(20)
+        want = run_guarded_aa_bpg(
+            BregmanProblem(kernel, f, h, 1.0 / f.smoothness, 20),
+            kernel.grad(x0), AAConfig(m=5), tol=0.0, max_iters=iters)
+        assert got.iterations == want.iterations == iters
+        assert got.trace.objective == want.trace.objective
+        assert got.trace.residual == want.trace.residual
+        assert got.trace.step_kind == want.trace.step_kind
+        assert np.array_equal(got.x, want.x)
 
     def test_cycling_reproduces_through_the_generic_runner(self, tmp_path):
         out = tmp_path / "cyc"
@@ -555,7 +584,7 @@ class TestMain:
         cfg = ExperimentConfig(problem="kl_l1", methods=["bpg"], mu=0.0,
                                synth=(30, 10))
         assert cfg.lam == 0.001
-        assert assemble_problem(cfg).problem.h.params["lam"] == 0.001
+        assert assemble_problem(cfg)[0].h.params["lam"] == 0.001
 
     def test_bad_synth_argument(self, tmp_path):
         with pytest.raises(SystemExit):

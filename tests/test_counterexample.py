@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from aaprox.anderson import AAConfig
 from aaprox.counterexample import (
     BASIN,
     CURVATURE_INNER,
@@ -14,11 +15,14 @@ from aaprox.counterexample import (
     CYCLE_POINT,
     SPIRAL_POINT,
     STEP,
+    PiecewiseLoss,
     closed_form_step,
     grad_f,
     run_counterexample,
     value_f,
 )
+from aaprox.problems import CompositeProblem, zero_term
+from aaprox.solvers import run_aa_pga
 
 
 def test_constants():
@@ -149,6 +153,24 @@ class TestRunCounterexample:
             rep = run_counterexample(x0)
         assert rep.max_closed_form_gap <= 1e-8
         assert_allclose(rep.iterates, rep.closed_form, atol=1e-8)
+
+    @pytest.mark.parametrize("n_cycles", [0, 3, 50])
+    @pytest.mark.parametrize("x0", [2.01, 2.1, 50.0, 246.0, 0.5, 300.0])
+    def test_the_prox_loop_takes_the_same_path(self, x0, n_cycles):
+        # with h = 0 and step 1/25, run_aa_pga is the same depth-1
+        # extrapolated gradient iteration; x0 = 0.5 stops on an exact zero
+        # residual after two iterates in both
+        problem = CompositeProblem(PiecewiseLoss(), zero_term(), 1)
+        if BASIN[0] <= x0 <= BASIN[1]:
+            iterates = run_counterexample(x0, n_cycles).iterates
+        else:
+            with pytest.warns(UserWarning, match="outside"):
+                iterates = run_counterexample(x0, n_cycles).iterates
+        report = run_aa_pga(problem, [x0], STEP, AAConfig(m=1, reg_scale=0.0),
+                            tol=0.0, max_iters=4 * n_cycles + 6,
+                            keep_iterates=True)
+        assert np.array_equal(iterates,
+                              np.concatenate([[x0], *report.trace.iterates]))
 
     @pytest.mark.parametrize("x0", [1.0, 0.0, 250.0, -5.0])
     def test_warns_outside_the_basin(self, x0):
