@@ -12,8 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     _os.environ.setdefault(_var, _os.environ.get("AAPROX_THREADS", "1"))
 
 from .anderson import (AAConfig, AndersonEngine, ExtrapolationCoefficients,
-                       FixedPointReport, QrWindow, ResidualHistory,
-                       run_anderson, solve_coefficients)
+                       QrWindow, ResidualHistory, solve_coefficients)
 from .bregman import (BregmanProblem, Kernel, UnsupportedProxError, bpg_step,
                       bregman_descent_check, bregman_distance, bregman_prox,
                       burg_kernel, energy_kernel, fermi_dirac_kernel,

@@ -3,7 +3,8 @@
 The engine keeps a sliding window of past map values and residuals, solves a
 small sum-to-one least-squares problem for mixing coefficients, and proposes
 the matching affine combination of past map values as the next iterate. With
-depth m = 0 the proposal is the plain fixed-point step.
+depth m = 0 the proposal is the plain fixed-point step. The loop that runs
+the engine is aaprox.solvers._proximal_gradient.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.blas import ddot
 
 __all__ = [
     "AAConfig",
     "AndersonEngine",
     "ExtrapolationCoefficients",
-    "FixedPointReport",
     "QrWindow",
     "ResidualHistory",
-    "run_anderson",
     "solve_coefficients",
 ]
 
@@ -368,74 +366,3 @@ class AndersonEngine:
             return self.history.newest(), coeffs
         return self.history.combine(alpha), coeffs
 
-
-def _norm(v: np.ndarray) -> float:
-    """||v||_2 of a 1-D float array, the square root of v.dot(v) that
-    np.linalg.norm(v) also takes: the same float, inf and nan included."""
-    return math.sqrt(v.dot(v))
-
-
-def _finite(x: np.ndarray) -> bool:
-    """Whether every entry of the 1-D float array x is finite, the answer
-    of np.isfinite(x).all(). A finite x^T x, one BLAS call, proves it; only
-    where that dot is inf or nan, as entries above about 1e154 make it too,
-    is each entry tested. Its rounding cannot change the answer, so the dot
-    is scipy's BLAS wrapper ddot, which costs less per call than x.dot and
-    sets no numpy floating-point warning when it overflows."""
-    return math.isfinite(ddot(x, x)) or bool(np.isfinite(x).all())
-
-
-def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
-    """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
-    residual_norm > tol > 0, the one case where the answer depends on it."""
-    if residual_norm <= tol:
-        return True
-    return tol > 0.0 and residual_norm <= tol * _norm(g)
-
-
-@dataclass
-class FixedPointReport:
-    """Iterates of an extrapolated fixed-point run, xs[k] being iterate k."""
-
-    xs: np.ndarray
-    residual_norms: np.ndarray
-    alphas: list[np.ndarray]
-    termination: str
-
-
-def run_anderson(g, x0, config: AAConfig, tol: float = 0.0,
-                 max_iters: int = 50) -> FixedPointReport:
-    """Extrapolated fixed-point iteration on the map g.
-
-    Each step moves to the engine's proposal, so the first is the plain step
-    x_1 = g(x_0). From the second residual on, stops when ||g(x_k) - x_k||
-    <= tol * max(1, ||g(x_k)||); also after max_iters map evaluations, or
-    as "degenerate" at a non-finite iterate, where g is not evaluated. The
-    loop runs under one np.errstate that ignores overflow and invalid
-    operations, so a run that overflows ends "degenerate" instead of
-    warning; a residual too large to square records the norm inf.
-    """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    engine = AndersonEngine(x.size, config)
-    xs = [x]
-    alphas: list[np.ndarray] = []
-    residual_norms: list[float] = []
-    termination = "max_iters"
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max(max_iters, 1)):
-            if not _finite(x):
-                termination = "degenerate"
-                break
-            g_val = np.atleast_1d(np.asarray(g(x), dtype=float))
-            rn = _norm(engine.push(g_val, x))
-            residual_norms.append(rn)
-            if k and _stop(rn, g_val, tol):
-                termination = "tol"
-                break
-            x, coeffs = engine.extrapolate()
-            alphas.append(coeffs.alpha)
-            xs.append(x)
-
-    return FixedPointReport(np.asarray(xs), np.asarray(residual_norms),
-                            alphas, termination)

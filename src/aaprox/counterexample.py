@@ -12,12 +12,15 @@ trajectory checkable by hand.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .anderson import AAConfig, run_anderson
+from .anderson import AAConfig
+from .problems import CompositeProblem, zero_term
+from .solvers import run_aa_pga
 
 __all__ = [
     "CURVATURE_INNER",
@@ -115,23 +118,27 @@ class CycleReport:
 def run_counterexample(x0: float, n_cycles: int = 50) -> CycleReport:
     """Run the cycling configuration for n_cycles four-step periods.
 
-    Uses the generic extrapolation engine with depth 1, no Tikhonov term,
-    step 1/25, and cross-checks every iterate against the closed form,
-    warning when they drift apart by more than 1e-8. A non-finite x0 or a
-    negative n_cycles raises ValueError.
+    Runs run_aa_pga on PiecewiseLoss with h = 0, window depth 1, no
+    Tikhonov term, step 1/25 and tol 0, keeping every iterate, and
+    cross-checks each against the closed form, warning when they drift
+    apart by more than 1e-8. A non-finite x0, or an n_cycles that is not a
+    nonnegative integer (a bool included), raises ValueError.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite, got %r" % x0)
+    if (isinstance(n_cycles, bool)
+            or not isinstance(n_cycles, numbers.Integral)):
+        raise ValueError("n_cycles must be an integer, got %r" % (n_cycles,))
     if n_cycles < 0:
         raise ValueError("n_cycles must be nonnegative, got %r" % n_cycles)
     if not BASIN[0] <= x0 <= BASIN[1]:
         warnings.warn("x0 = %g is outside [%g, %g]; the four-phase cycle "
                       "is only guaranteed inside" % (x0, *BASIN))
-    n_iters = 4 * n_cycles + 6
-    config = AAConfig(m=1, reg_scale=0.0)
-    report = run_anderson(lambda x: x - STEP * grad_f(x), [float(x0)],
-                          config, tol=0.0, max_iters=n_iters)
-    iterates = report.xs[:, 0]
+    problem = CompositeProblem(PiecewiseLoss(), zero_term(), 1)
+    report = run_aa_pga(problem, [x0], STEP, AAConfig(m=1, reg_scale=0.0),
+                        tol=0.0, max_iters=4 * n_cycles + 6,
+                        keep_iterates=True)
+    iterates = np.concatenate([[x0], *report.trace.iterates])
 
     closed = np.empty_like(iterates)
     closed[0] = x0
@@ -142,7 +149,7 @@ def run_counterexample(x0: float, n_cycles: int = 50) -> CycleReport:
     if gap > 1e-8:
         warnings.warn("engine and closed form diverged by %g" % gap)
 
-    # convergent starts outside the basin can stop the engine early on an
+    # convergent starts outside the basin can stop the run early on an
     # exact-zero residual, leaving some subsequences empty
     limits = {off: float(iterates[off::4][-1]) for off in (3, 4, 5, 6)
               if len(iterates) > off}

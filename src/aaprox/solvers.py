@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from .anderson import AAConfig, AndersonEngine, _finite, _norm, _stop
+from .anderson import AAConfig, AndersonEngine
 from .problems import (PROJECTION_KINDS, CompositeProblem, DomainError,
                        _IdentityMemo)
 
@@ -42,6 +42,30 @@ __all__ = [
     "run_nesterov_pga",
     "run_pga",
 ]
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float array, the square root of v.dot(v) that
+    np.linalg.norm(v) also takes: the same float, inf and nan included."""
+    return math.sqrt(v.dot(v))
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of the 1-D float array x is finite, the answer
+    of np.isfinite(x).all(). A finite x^T x, one BLAS call, proves it; only
+    where that dot is inf or nan, as entries above about 1e154 make it too,
+    is each entry tested. Its rounding cannot change the answer, so the dot
+    is scipy's BLAS wrapper ddot, which costs less per call than x.dot and
+    sets no numpy floating-point warning when it overflows."""
+    return math.isfinite(ddot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
+    """residual_norm <= tol * max(1, ||g||); ||g|| is only worked out when
+    residual_norm > tol > 0, the one case where the answer depends on it."""
+    if residual_norm <= tol:
+        return True
+    return tol > 0.0 and residual_norm <= tol * _norm(g)
 
 
 class IterationTrace:
@@ -108,8 +132,8 @@ def _descent_guard():
 
 
 def _value_or_inf(f, x) -> float:
-    """f.value(x), or inf where x is not finite (anderson._finite) or f
-    raises DomainError.
+    """f.value(x), or inf where x is not finite (_finite) or f raises
+    DomainError.
 
     Called inside the loop's errstate, so overflow and invalid operations
     inside f are not warned about: the guard rejects the inf or nan they
@@ -132,7 +156,7 @@ def _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma) -> bool:
     1e-9 max(1, |f(x)|), rejects f(x_test) too, and f need not be
     evaluated. A non-finite x_test gives a nan or inf bound, which the
     guard rejects as it rejects the inf f_test of _value_or_inf. The dot is
-    scipy's BLAS wrapper ddot, as in anderson._finite.
+    scipy's BLAS wrapper ddot, as in _finite.
     """
     lower = f_curr + ddot(grad, x_test - x) - 1e-9 * max(1.0, abs(f_curr))
     return not guard(lower, f_curr, grad, x_plain, x, gamma)
@@ -173,8 +197,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     f_test = inf without a call to f. For a nonconvex f that can only turn
     an acceptance into a fallback, the safe step. A candidate that is not
     finite, or whose f raises DomainError, has f_test = inf;
-    finiteness is one dot x^T x (anderson._finite), and each entry is
-    tested only where that dot is not finite.
+    finiteness is one dot x^T x (_finite), and each entry is tested only
+    where that dot is not finite.
     A row records f(x) + h(x) at its x, which is always a to_primal output;
     where h's kind is in PROJECTION_KINDS, a finite x lies in h's set, so
     the row records f(x) alone and h is never called.

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq, minimize, nnls
 from scipy.special import expit
 
-from aaprox.anderson import AAConfig, AndersonEngine, QrWindow, run_anderson, \
+from aaprox.anderson import AAConfig, AndersonEngine, QrWindow, \
     solve_coefficients
 from aaprox.bregman import (
     BregmanProblem,
@@ -235,16 +235,15 @@ def test_criterion_04_krylov_finite_termination():
     basis, _ = np.linalg.qr(rng.standard_normal((30, 10)))
     vals = np.linspace(1.0, 3.0, 10)
     H = (basis * vals) @ basis.T
-    b = H @ rng.standard_normal(30)  # consistent right-hand side
+    z = rng.standard_normal(30)  # b = H z: a consistent right-hand side
     gamma = 1.0 / vals[-1]
-
-    def g(x):
-        return x - gamma * (H @ x - b)
-
-    rep = run_anderson(g, np.zeros(30), AAConfig(m=35, reg_scale=0.0),
-                       tol=0.0, max_iters=12)
-    best = float(np.min(rep.residual_norms))
-    assert len(rep.residual_norms) <= 12
+    # gradient descent on 0.5 (x - z)^T H (x - z) is the affine map
+    # x - gamma (H x - b), on which AA is equivalent to GMRES
+    problem = CompositeProblem(QuadraticLoss(H, center=z), zero_term(), 30)
+    rep = run_aa_pga(problem, np.zeros(30), gamma,
+                     AAConfig(m=35, reg_scale=0.0), tol=0.0, max_iters=12)
+    best = float(np.min(rep.trace.residual))
+    assert len(rep.trace.residual) <= 12
     assert best <= 1e-8
     announce(4, "krylov finite termination",
              "rank 10, window 35 >= 12 iterations, residual %.1e" % best)

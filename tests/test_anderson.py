@@ -1,5 +1,6 @@
 """Unit tests for the extrapolation engine: coefficient solves against
-independent oracles, sliding-window QR bookkeeping, and the driver loop."""
+independent oracles and sliding-window QR bookkeeping. The loop that runs
+the engine is tested through the drivers, in test_solvers.py."""
 
 import math
 import warnings
@@ -14,10 +15,9 @@ from aaprox.anderson import (
     AndersonEngine,
     QrWindow,
     ResidualHistory,
-    _norm,
-    run_anderson,
     solve_coefficients,
 )
+from aaprox.solvers import _norm
 
 
 def normal_equation_reference(R, reg_scale):
@@ -706,137 +706,6 @@ def test_window_buffers_match_column_stacking_through_a_lifecycle(
         assert min(lengths[8:]) < 4 and lengths[-1] == 4
         assert eng.degenerate_count == ref.degenerate > 0
     assert len(solves) > 40 and combines
-
-
-class TestRunAnderson:
-    def test_first_step_is_plain_map_application(self):
-        g = lambda x: 0.5 * x + 1.0
-        rep = run_anderson(g, np.array([0.0]), AAConfig(m=2), max_iters=1)
-        assert_allclose(rep.xs[0], [0.0])
-        assert_allclose(rep.xs[1], [1.0])
-        assert_allclose(rep.alphas[0], [1.0])
-
-    def test_solves_affine_contraction(self):
-        rng = np.random.default_rng(26)
-        A = rng.standard_normal((8, 8))
-        A = 0.9 * A / np.linalg.norm(A, 2)
-        b = rng.standard_normal(8)
-        x_star = np.linalg.solve(np.eye(8) - A, b)
-        rep = run_anderson(lambda x: A @ x + b, np.zeros(8),
-                           AAConfig(m=4), tol=1e-13, max_iters=60)
-        assert rep.termination == "tol"
-        assert_allclose(rep.xs[-1], x_star, atol=1e-10)
-
-    def test_full_memory_terminates_finitely_on_affine_maps(self):
-        # with window >= dimension the extrapolated iterate solves the
-        # affine fixed-point equation exactly, up to roundoff
-        rng = np.random.default_rng(27)
-        n = 10
-        A = rng.standard_normal((n, n))
-        A = 0.9 * A / np.linalg.norm(A, 2)
-        b = rng.standard_normal(n)
-        rep = run_anderson(lambda x: A @ x + b, np.zeros(n),
-                           AAConfig(m=n + 2, reg_scale=0.0), tol=1e-9,
-                           max_iters=n + 3)
-        assert rep.termination == "tol"
-        assert len(rep.residual_norms) <= n + 2
-
-    def test_m0_is_plain_fixed_point_iteration(self):
-        g = lambda x: np.cos(x)
-        rep = run_anderson(g, np.array([1.0]), AAConfig(m=0), max_iters=20)
-        x = np.array([1.0])
-        for k in range(20):
-            x = g(x)
-            assert_allclose(rep.xs[k + 1], x, rtol=0, atol=0)
-
-    def test_runs_are_deterministic(self):
-        rng = np.random.default_rng(28)
-        A = rng.standard_normal((6, 6))
-        A = 0.7 * A / np.linalg.norm(A, 2)
-        b = rng.standard_normal(6)
-        g = lambda x: A @ x + b
-        rep1 = run_anderson(g, np.ones(6), AAConfig(m=3), max_iters=30)
-        rep2 = run_anderson(g, np.ones(6), AAConfig(m=3), max_iters=30)
-        assert np.array_equal(rep1.xs, rep2.xs)
-
-    def test_divergence_reports_degenerate(self):
-        g = lambda x: np.array([np.inf])
-        rep = run_anderson(g, np.array([1.0]), AAConfig(m=1), max_iters=10)
-        assert rep.termination == "degenerate"
-
-    def test_non_finite_start_stops_before_the_map(self):
-        calls = []
-        g = lambda x: (calls.append(1), x)[1]
-        rep = run_anderson(g, np.array([np.nan]), AAConfig(m=2), max_iters=5)
-        assert rep.termination == "degenerate"
-        assert calls == [] and len(rep.residual_norms) == 0
-
-    def test_an_iterate_whose_square_overflows_is_mapped(self):
-        # entries near 1e200, where x^T x overflows: the run is the
-        # unit-scale run times a power of two, every map value included
-        scale = 2.0 ** 664
-        c = np.array([1.0, -2.0, 0.5])
-        unit = run_anderson(lambda x: 0.5 * x + c, np.zeros(3),
-                            AAConfig(m=0), max_iters=20)
-        calls = []
-        g = lambda x: (calls.append(1), 0.5 * x + scale * c)[1]
-        rep = run_anderson(g, np.zeros(3), AAConfig(m=0), max_iters=20)
-        assert rep.termination == "max_iters"
-        assert len(calls) == 20
-        assert np.array_equal(rep.xs, scale * unit.xs)
-        with np.errstate(over="ignore"):
-            assert rep.xs[-1].dot(rep.xs[-1]) == np.inf
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
-                             ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_entry_ends_the_run_unmapped(self, bad):
-        # the third map value holds one bad entry; the window's solve falls
-        # back to the plain step, so the next iterate holds it too and the
-        # map is not called there
-        calls = []
-
-        def g(x):
-            calls.append(1)
-            out = 0.5 * x + 1.0
-            if len(calls) == 3:
-                out[1] = bad
-            return out
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = run_anderson(g, np.zeros(3), AAConfig(m=2), max_iters=10)
-        assert caught == []
-        assert rep.termination == "degenerate"
-        assert len(calls) == 3
-        assert np.array_equal(rep.xs[-1][1], bad, equal_nan=True)
-
-    def test_first_step_is_taken_even_at_a_fixed_point(self):
-        # the stopping test starts at the second residual, as in the
-        # proximal gradient drivers
-        calls = []
-        g = lambda x: (calls.append(1), 0.5 * x)[1]
-        rep = run_anderson(g, np.zeros(2), AAConfig(m=2), tol=1e-8,
-                           max_iters=5)
-        assert rep.termination == "tol"
-        assert len(calls) == len(rep.residual_norms) == 2
-        assert len(rep.xs) == 2
-
-    def test_map_evaluation_budget_is_respected(self):
-        calls = []
-        g = lambda x: (calls.append(1), 0.99 * x)[1]
-        run_anderson(g, np.ones(3), AAConfig(m=2), max_iters=7)
-        assert len(calls) == 7
-
-    def test_an_overflowing_run_ends_degenerate_without_a_warning(self):
-        # the residual norm overflows some 50 rows before the iterate does;
-        # the run's own errstate keeps both quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = run_anderson(lambda x: 1000.0 * x, np.ones(3),
-                               AAConfig(m=0), max_iters=200)
-        assert rep.termination == "degenerate"
-        assert len(rep.residual_norms) == 103
-        assert rep.residual_norms[-1] == np.inf
 
 
 @pytest.mark.parametrize("settings", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aaprox.anderson import AAConfig
+from aaprox.anderson import AAConfig, AndersonEngine
 from aaprox.counterexample import (
     BASIN,
     CURVATURE_INNER,
@@ -21,8 +21,6 @@ from aaprox.counterexample import (
     run_counterexample,
     value_f,
 )
-from aaprox.problems import CompositeProblem, zero_term
-from aaprox.solvers import run_aa_pga
 
 
 def test_constants():
@@ -157,20 +155,27 @@ class TestRunCounterexample:
     @pytest.mark.parametrize("n_cycles", [0, 3, 50])
     @pytest.mark.parametrize("x0", [2.01, 2.1, 50.0, 246.0, 0.5, 300.0])
     def test_the_prox_loop_takes_the_same_path(self, x0, n_cycles):
-        # with h = 0 and step 1/25, run_aa_pga is the same depth-1
-        # extrapolated gradient iteration; x0 = 0.5 stops on an exact zero
-        # residual after two iterates in both
-        problem = CompositeProblem(PiecewiseLoss(), zero_term(), 1)
+        # the reference is the depth-1 extrapolated gradient iteration
+        # written on the engine itself: push g(x), move to the proposal,
+        # and stop at a zero residual from the second one on; x0 = 0.5
+        # stops there after two iterates
         if BASIN[0] <= x0 <= BASIN[1]:
             iterates = run_counterexample(x0, n_cycles).iterates
         else:
             with pytest.warns(UserWarning, match="outside"):
                 iterates = run_counterexample(x0, n_cycles).iterates
-        report = run_aa_pga(problem, [x0], STEP, AAConfig(m=1, reg_scale=0.0),
-                            tol=0.0, max_iters=4 * n_cycles + 6,
-                            keep_iterates=True)
-        assert np.array_equal(iterates,
-                              np.concatenate([[x0], *report.trace.iterates]))
+        loss = PiecewiseLoss()
+        engine = AndersonEngine(1, AAConfig(m=1, reg_scale=0.0))
+        x = np.array([x0])
+        want = [x0]
+        for k in range(4 * n_cycles + 6):
+            g = x - STEP * loss.grad(x)
+            residual = engine.push(g, x)
+            if k and np.linalg.norm(residual) == 0.0:
+                break
+            x = engine.extrapolate()[0]
+            want.append(x[0])
+        assert np.array_equal(iterates, want)
 
     @pytest.mark.parametrize("x0", [1.0, 0.0, 250.0, -5.0])
     def test_warns_outside_the_basin(self, x0):
@@ -186,10 +191,17 @@ class TestRunCounterexample:
     @pytest.mark.parametrize("x0, n_cycles, fragment", [
         (float("nan"), 2, "x0 must be finite"),
         (float("inf"), 2, "x0 must be finite"),
-        (2.1, -3, "n_cycles must be nonnegative")], ids=["nan", "inf", "neg"])
+        (2.1, -3, "n_cycles must be nonnegative"),
+        (2.1, 2.5, "n_cycles must be an integer, got 2.5"),
+        (2.1, True, "n_cycles must be an integer, got True")],
+        ids=["nan", "inf", "neg", "fractional", "bool"])
     def test_bad_inputs_are_rejected(self, x0, n_cycles, fragment):
         with pytest.raises(ValueError, match=fragment):
             run_counterexample(x0, n_cycles)
+
+    def test_a_numpy_integer_cycle_count_is_accepted(self):
+        rep = run_counterexample(2.1, np.int64(3))
+        assert np.array_equal(rep.iterates, run_counterexample(2.1, 3).iterates)
 
     def test_basin_interval(self):
         lo, hi = BASIN

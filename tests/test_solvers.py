@@ -146,6 +146,54 @@ class TestRunAaPga:
                          max_iters=3)
         assert rep.trace.step_kind[0] == "plain"
         assert rep.trace.step_kind[1] == "AA"
+        assert rep.iterations == 3 and rep.termination == "max_iters"
+
+    def test_full_memory_terminates_finitely_on_a_quadratic(self):
+        # with h = 0 each step maps x affinely; with a window at least the
+        # dimension the extrapolated iterate solves the fixed-point
+        # equation exactly, up to roundoff
+        prob = quadratic_problem(seed=27, n=10)
+        rep = run_aa_pga(prob, np.zeros(10),
+                         aa_config=AAConfig(m=12, reg_scale=0.0), tol=1e-9,
+                         max_iters=13)
+        assert rep.termination == "tol"
+        assert rep.iterations <= 12
+        assert_allclose(rep.x, prob.f.center, atol=1e-8)
+
+    def test_runs_are_deterministic(self):
+        prob = lasso_problem(seed=28)
+        run = partial(run_aa_pga, prob, np.ones(prob.n),
+                      aa_config=AAConfig(m=3), max_iters=30,
+                      keep_iterates=True)
+        first, second = run(), run()
+        assert np.array_equal(first.trace.iterates, second.trace.iterates)
+        assert first.trace.objective == second.trace.objective
+
+    def test_gradient_budget_is_respected(self):
+        base = lasso_problem(seed=29)
+        loss = CountingLoss(base.f)
+        prob = CompositeProblem(loss, base.h, base.n)
+        rep = run_aa_pga(prob, np.ones(prob.n), aa_config=AAConfig(m=2),
+                         max_iters=7)
+        assert rep.iterations == 7
+        assert len(loss.values_per_row) == 7
+
+    def test_divergence_at_depth_one_is_reported_without_a_warning(self):
+        # a step 50 times too long on a nonnegative least-squares problem:
+        # depth-1 extrapolation does not rescue it, and the run's own
+        # errstate keeps the overflowing rows quiet
+        data = generate_nnls_instance(80, 40)
+        f = least_squares_loss(data.A, data.b)
+        prob = CompositeProblem(f, nonneg_indicator(), 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_aa_pga(prob, np.ones(40), gamma=50.0 / f.smoothness,
+                             aa_config=AAConfig(m=1), max_iters=1000)
+        assert caught == []
+        assert rep.termination == "degenerate"
+        assert rep.iterations == 258
+        assert np.isfinite(rep.trace.objective[:-1]).all()
+        assert rep.trace.objective[-1] == np.inf
 
 
 class TestRunGuardedAaPga:
@@ -939,8 +987,8 @@ class TestFiniteIterates:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("driver", [run_pga, run_guarded_aa_pga,
-                                        run_nesterov_pga])
+    @pytest.mark.parametrize("driver", [run_pga, run_aa_pga,
+                                        run_guarded_aa_pga, run_nesterov_pga])
     def test_a_non_finite_entry_ends_the_run_unevaluated(self, driver, bad):
         # from the fourth prox call on, one entry of each output is bad; f
         # is never asked its value there, and the row records inf
@@ -966,6 +1014,28 @@ class TestFiniteIterates:
         assert rep.trace.objective[-1] == np.inf
         assert np.array_equal(rep.x[1], bad, equal_nan=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("driver", [run_pga, run_aa_pga,
+                                        run_guarded_aa_pga, run_nesterov_pga])
+    def test_a_non_finite_start_ends_the_run_after_one_gradient(self, driver,
+                                                                bad):
+        # the first step is always taken; its output holds the bad entry,
+        # so the run records one inf row, unevaluated, and ends quietly
+        base = quadratic_problem(seed=25)
+        loss = CountingLoss(base.f)
+        prob = CompositeProblem(FiniteOnly(loss), base.h, base.n)
+        x0 = np.ones(base.n)
+        x0[2] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = driver(prob, x0, max_iters=10)
+        assert caught == []
+        assert rep.termination == "degenerate"
+        assert rep.trace.step_kind == ["plain"]
+        assert rep.trace.objective == [np.inf]
+        assert loss.values_per_row == [0]
+
     def test_value_or_inf_takes_the_exact_test_after_the_dot(self):
         # outside any errstate: the test itself warns about nothing
         prob, x0 = far_quadratic(2.0 ** 664)
@@ -974,6 +1044,20 @@ class TestFiniteIterates:
             x = np.ones(prob.n)
             x[-1] = bad
             assert _value_or_inf(FiniteOnly(prob.f), x) == np.inf
+
+
+@pytest.mark.parametrize("driver", [run_pga, run_aa_pga,
+                                    run_guarded_aa_pga])
+def test_the_first_step_is_taken_even_at_a_fixed_point(driver):
+    # the stopping test starts at the second residual: the run records the
+    # plain step from the minimiser, then stops on its zero residual
+    base = quadratic_problem(seed=24)
+    loss = CountingLoss(base.f)
+    prob = CompositeProblem(loss, base.h, base.n)
+    rep = driver(prob, base.f.center.copy(), tol=1e-8, max_iters=5)
+    assert rep.termination == "tol"
+    assert rep.trace.step_kind == ["plain"]
+    assert len(loss.values_per_row) == 2  # one gradient per residual
 
 
 @pytest.mark.parametrize("driver", [run_pga, run_nesterov_pga, run_aa_pga,
