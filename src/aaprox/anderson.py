@@ -123,10 +123,6 @@ class ResidualHistory:
         overwrites."""
         return self._r[:, :self._len]
 
-    def residual_matrix(self) -> np.ndarray:
-        """Residuals as columns, newest first, in a C-ordered copy."""
-        return self.residuals().copy()
-
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """The map values times alpha, newest first, as a new array."""
         if len(alpha) != self._len:

@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy import sparse
 
 __all__ = [
@@ -372,11 +373,35 @@ def load_dense_csv(path, has_header: bool = False) -> DatasetMatrix:
     return DatasetMatrix(raw[:, :-1].copy(), raw[:, -1].copy())
 
 
+def _refuse_qr(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing "
+                                "QR factorization")
+
+
+def _orthonormal_columns(g):
+    """The Q of np.linalg.qr(g) for a tall or square float64 g, with the
+    same floats: the two gufuncs qr(mode="reduced") calls, on g itself.
+
+    qr_r_raw writes the Householder factors into g, so qr's copy of g and
+    the R it forms are skipped; g is overwritten. As in qr, LAPACK's
+    invalid flag (a failed factorization) raises LinAlgError.
+    """
+    with np.errstate(call=_refuse_qr, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(g, signature="d->d")
+        return _umath_linalg.qr_reduced(g, tau, signature="dd->d")
+
+
 def _conditioned_matrix(rng, M, n, cond):
-    """Dense M x n matrix with singular values log-spaced over [1/cond, 1]."""
+    """Dense M x n matrix with singular values log-spaced over [1/cond, 1].
+
+    Each Gaussian draw is factored in place (_orthonormal_columns), so the
+    peak holds the two Q factors and the product: 2 + min(M, n) / max(M, n)
+    times the output.
+    """
     k = min(M, n)
-    u, _ = np.linalg.qr(rng.standard_normal((M, k)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    u = _orthonormal_columns(rng.standard_normal((M, k)))
+    v = _orthonormal_columns(rng.standard_normal((n, k)))
     u *= np.logspace(0.0, -np.log10(cond), k)  # the singular values
     return u @ v.T
 

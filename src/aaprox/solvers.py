@@ -151,23 +151,26 @@ def _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma) -> bool:
     """Whether the guard rejects x_test on a lower bound of f(x_test).
 
     For convex f, f(x_test) >= f(x) + <grad f(x), x_test - x>, and each
-    guard accepts exactly when its f_test is at most a bound. So a guard
-    that rejects the lower bound, less a rounding margin of
-    1e-9 max(1, |f(x)|), rejects f(x_test) too, and f need not be
-    evaluated. A non-finite x_test gives a nan or inf bound, which the
-    guard rejects as it rejects the inf f_test of _value_or_inf. The dot is
-    scipy's BLAS wrapper ddot, as in _finite.
+    guard accepts exactly when its f_test is at most a bound that does not
+    depend on f_test. So a guard that rejects the lower bound, less a
+    rounding margin of 1e-9 max(1, |f(x)|), rejects f(x_test) too, and
+    neither f nor the guard need be asked again. A nan bound, which an inf
+    or nan entry of x_test or an overflowing dot can give, decides nothing
+    (every guard rejects nan), so the guard is not asked about it: x_test
+    is judged by _value_or_inf, which is inf where x_test is not finite.
+    The dot is scipy's BLAS wrapper ddot, as in _finite.
     """
     lower = f_curr + ddot(grad, x_test - x) - 1e-9 * max(1.0, abs(f_curr))
-    return not guard(lower, f_curr, grad, x_plain, x, gamma)
+    return lower == lower and not guard(lower, f_curr, grad, x_plain, x,
+                                        gamma)
 
 
 def _candidate_value(f, guard, x_test, f_curr, grad, x_plain, x,
-                     gamma) -> float:
-    """The f_test the guard judges x_test by: inf where _bound_rejects
-    already decides the rejection, otherwise _value_or_inf(f, x_test)."""
+                     gamma) -> float | None:
+    """The f_test the guard judges x_test by, _value_or_inf(f, x_test), or
+    None where _bound_rejects has already decided the rejection."""
     if _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma):
-        return np.inf
+        return None
     return _value_or_inf(f, x_test)
 
 
@@ -193,10 +196,10 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     step when it passes. The window is kept across rejections. f is
     assumed convex: before f is evaluated at either candidate, the guard is
     asked about its lower bound f(x) + <grad f(x), x_c - x>
-    (_bound_rejects), and a candidate whose bound is rejected has
-    f_test = inf without a call to f. For a nonconvex f that can only turn
-    an acceptance into a fallback, the safe step. A candidate that is not
-    finite, or whose f raises DomainError, has f_test = inf;
+    (_bound_rejects), and a candidate whose bound is rejected is rejected
+    without a call to f or a second guard call. For a nonconvex f that can
+    only turn an acceptance into a fallback, the safe step. A candidate that
+    is not finite, or whose f raises DomainError, has f_test = inf;
     finiteness is one dot x^T x (_finite), and each entry is tested only
     where that dot is not finite.
     A row records f(x) + h(x) at its x, which is always a to_primal output;
@@ -246,7 +249,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                 x_test = to_primal(y_ext, gamma)
                 f_test = _candidate_value(f, guard, x_test, f_curr, grad,
                                           x_plain, x, gamma)
-                if guard(f_test, f_curr, grad, x_plain, x, gamma):
+                if f_test is not None and guard(f_test, f_curr, grad,
+                                                x_plain, x, gamma):
                     x, y, f_next, kind = x_test, y_ext, f_test, "AA"
                 else:
                     x_next, y, kind = x_plain, g, "fallback"
@@ -259,8 +263,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                             f_half = _candidate_value(
                                 f, guard, x_half, f_curr, grad, x_plain, x,
                                 gamma)
-                            if guard(f_half, f_curr, grad, x_plain, x,
-                                     gamma):
+                            if f_half is not None and guard(
+                                    f_half, f_curr, grad, x_plain, x, gamma):
                                 x_next, y, f_next, kind = (
                                     x_half, y_half, f_half, "damped")
                     x = x_next

@@ -273,8 +273,7 @@ def test_criterion_05_affine_residual_identity():
         # extrapolated step mixes map values, whose residual is B R alpha
         ybar = np.column_stack(window_ys[::-1]) @ alpha
         lhs = float(np.linalg.norm(g(ybar) - ybar))
-        rhs = float(np.linalg.norm(
-            engine.history.residual_matrix() @ alpha))
+        rhs = float(np.linalg.norm(engine.history.residuals() @ alpha))
         worst = max(worst, abs(lhs - rhs))
         y = y_ext
     assert worst <= 1e-10

@@ -207,10 +207,10 @@ class TestResidualHistory:
         hist = ResidualHistory(m=1)  # capacity 2
         hist.push(np.array([1.0]), np.array([10.0]))
         hist.push(np.array([2.0]), np.array([20.0]))
-        assert_allclose(hist.residual_matrix(), [[20.0, 10.0]])
+        assert_allclose(hist.residuals(), [[20.0, 10.0]])
         hist.push(np.array([3.0]), np.array([30.0]))
         assert len(hist) == 2
-        assert_allclose(hist.residual_matrix(), [[30.0, 20.0]])
+        assert_allclose(hist.residuals(), [[30.0, 20.0]])
 
     def test_combine_is_weighted_sum_of_map_values(self):
         hist = ResidualHistory(m=2)
@@ -230,7 +230,7 @@ class TestResidualHistory:
         hist.push(np.array([1.0]), np.array([1.0]))
         hist.push(np.array([2.0]), np.array([2.0]))
         hist.drop_oldest()
-        assert_allclose(hist.residual_matrix(), [[2.0]])
+        assert_allclose(hist.residuals(), [[2.0]])
         hist.drop_oldest()
         assert len(hist) == 0
         with pytest.raises(IndexError):
@@ -240,19 +240,17 @@ class TestResidualHistory:
         with pytest.raises(ValueError, match="nonnegative"):
             ResidualHistory(-1)
 
-    def test_residual_matrix_is_a_column_stacked_snapshot(self):
+    def test_residuals_are_the_window_column_stacked(self):
         rng = np.random.default_rng(26)
         pushed = [rng.standard_normal(4) for _ in range(4)]
         hist = ResidualHistory(m=2)
         for r in pushed[:2]:
             hist.push(-r, r)
-        R = hist.residual_matrix()
-        assert np.array_equal(R, np.column_stack(pushed[1::-1]))
-        assert R.flags.c_contiguous
+        assert np.array_equal(hist.residuals(),
+                              np.column_stack(pushed[1::-1]))
         for r in pushed[2:]:  # the second push evicts the oldest
             hist.push(-r, r)
-        assert np.array_equal(R, np.column_stack(pushed[1::-1]))
-        assert np.array_equal(hist.residual_matrix(),
+        assert np.array_equal(hist.residuals(),
                               np.column_stack(pushed[:0:-1]))
 
     def test_newest_is_the_pushed_map_value(self):
@@ -698,9 +696,8 @@ def test_window_buffers_match_column_stacking_through_a_lifecycle(
             if x_next is not g_val:  # a mixed point is a new array
                 assert not any(np.shares_memory(x_next, v) for v in pushed)
                 assert not np.shares_memory(x_next, eng.history.residuals())
-            R = eng.history.residual_matrix()
-            assert R.flags.c_contiguous
-            assert np.array_equal(R, np.column_stack(ref.rs))
+            assert np.array_equal(eng.history.residuals(),
+                                  np.column_stack(ref.rs))
         # filled, evicted at capacity, shortened, and filled again
         assert lengths[:4] == [1, 2, 3, 4] and lengths[4:8] == [4] * 4
         assert min(lengths[8:]) < 4 and lengths[-1] == 4

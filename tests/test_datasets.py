@@ -1,6 +1,7 @@
 """LIBSVM and CSV readers plus the synthetic instance generators."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -657,11 +658,13 @@ class TestGenerators:
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
         assert not np.array_equal(a.A, c.A)
 
-    @pytest.mark.parametrize("shape", [(200, 100), (100, 200), (60, 20)])
+    @pytest.mark.parametrize("shape", [(200, 100), (100, 200), (60, 20),
+                                       (400, 200)])
     @pytest.mark.parametrize("gen", [generate_logreg_instance,
                                      generate_nnls_instance])
     def test_same_floats_as_scaling_a_copy(self, monkeypatch, gen, shape):
-        # u is scaled in place; scaling a copy first gives the same bits
+        # each draw is factored in place and u is scaled in place;
+        # np.linalg.qr on the draws and scaling a copy give the same bits
         from aaprox import datasets
 
         def scaled_copy(rng, M, n, cond):
@@ -676,6 +679,44 @@ class TestGenerators:
         old = gen(*shape, seed=3)
         assert new.A.tobytes() == old.A.tobytes()
         assert new.b.tobytes() == old.b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(400, 200), (200, 400)],
+                             ids=["tall", "wide"])
+    def test_conditioned_matrix_peak_is_its_factors_and_output(self, shape):
+        # the two Q factors and the product, 2 + 1/2 times the output at
+        # these shapes; with np.linalg.qr's copy of each draw and its R the
+        # peak was 3.57 (tall) and 4.57 (wide) times
+        from aaprox.datasets import _conditioned_matrix
+
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            A = _conditioned_matrix(rng, *shape, 1e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * A.nbytes, peak / A.nbytes
+
+    @pytest.mark.parametrize("failing", ["qr_r_raw", "qr_reduced"])
+    def test_a_failed_factorization_raises(self, monkeypatch, failing):
+        # numpy's gufuncs report a LAPACK failure by the invalid flag, which
+        # np.linalg.qr turns into LinAlgError; so must the in-place factor
+        from aaprox import datasets
+
+        gufuncs = {name: getattr(datasets._umath_linalg, name)
+                   for name in ("qr_r_raw", "qr_reduced")}
+        real = gufuncs[failing]
+
+        def fails(*args, **kwargs):
+            out = real(*args, **kwargs)
+            np.sqrt(np.full(1, -1.0))  # sets the invalid flag
+            return out
+
+        gufuncs[failing] = fails
+        monkeypatch.setattr(datasets, "_umath_linalg",
+                            SimpleNamespace(**gufuncs))
+        with pytest.raises(np.linalg.LinAlgError):
+            generate_nnls_instance(20, 10, seed=0)
 
     def test_logreg_shapes_and_labels(self):
         data = generate_logreg_instance(50, 20, seed=0)

@@ -769,6 +769,46 @@ class TestBoundProbe:
                 f_test = _value_or_inf(f, x_test)
                 assert not guard(f_test, f_curr, grad, x_plain, x, gamma)
 
+    @pytest.mark.parametrize("name", ["counterexample", "kl_hard",
+                                      "nonneg_lasso"])
+    def test_a_decided_candidate_asks_the_guard_once(self, name,
+                                                     monkeypatch):
+        # the probe's refusal of a number bound is the guard's answer on
+        # the candidate's value, so the guard is not asked again at inf
+        from aaprox import bregman
+
+        probe = solvers._bound_rejects
+        decided = []
+        asked = 0
+
+        def spy(*args):
+            hit = probe(*args)
+            decided.append(hit)
+            return hit
+
+        def counted(check):
+            def guard(*args, **kwargs):
+                nonlocal asked
+                asked += 1
+                return check(*args, **kwargs)
+            return guard
+
+        monkeypatch.setattr(solvers, "_bound_rejects", spy)
+        monkeypatch.setattr(solvers, "descent_check",
+                            counted(descent_check))
+        monkeypatch.setattr(bregman, "bregman_descent_check",
+                            counted(bregman.bregman_descent_check))
+        _, run = PROBE_CASES[name]()
+        rep = run()
+        assert any(decided)
+        # one ask per probe, one more per candidate the probe leaves open,
+        # and in the Euclidean bracket one for the plain point of each
+        # rejected row (every plain point here is finite)
+        rejected = sum(kind in ("fallback", "damped")
+                       for kind in rep.trace.step_kind)
+        bracket = 0 if name == "kl_hard" else rejected
+        assert asked == len(decided) + decided.count(False) + bracket
+
     @pytest.mark.parametrize("name", sorted(PROBE_CASES))
     def test_the_probe_changes_no_float(self, name, monkeypatch):
         _, run = PROBE_CASES[name]()
