@@ -1,5 +1,9 @@
 """LIBSVM and CSV readers plus the synthetic instance generators."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+import aaprox
 from aaprox.datasets import (
     _WRITE_BLOCK,
     DatasetMatrix,
@@ -697,26 +702,94 @@ class TestGenerators:
             tracemalloc.stop()
         assert peak <= 2.75 * A.nbytes, peak / A.nbytes
 
-    @pytest.mark.parametrize("failing", ["qr_r_raw", "qr_reduced"])
+    @pytest.mark.parametrize("failing", ["dgeqrf", "dorgqr"])
     def test_a_failed_factorization_raises(self, monkeypatch, failing):
-        # numpy's gufuncs report a LAPACK failure by the invalid flag, which
-        # np.linalg.qr turns into LinAlgError; so must the in-place factor
+        # LAPACK reports a failure by a nonzero info, which np.linalg.qr
+        # turns into LinAlgError; so must the factor on the draw's copy
         from aaprox import datasets
 
-        gufuncs = {name: getattr(datasets._umath_linalg, name)
-                   for name in ("qr_r_raw", "qr_reduced")}
-        real = gufuncs[failing]
+        routines = {name: getattr(datasets.lapack, name)
+                    for name in ("dgeqrf", "dorgqr")}
+        real = routines[failing]
 
         def fails(*args, **kwargs):
-            out = real(*args, **kwargs)
-            np.sqrt(np.full(1, -1.0))  # sets the invalid flag
-            return out
+            return (*real(*args, **kwargs)[:-1], -4)
 
-        gufuncs[failing] = fails
-        monkeypatch.setattr(datasets, "_umath_linalg",
-                            SimpleNamespace(**gufuncs))
+        routines[failing] = fails
+        monkeypatch.setattr(datasets, "lapack", SimpleNamespace(**routines))
         with pytest.raises(np.linalg.LinAlgError):
             generate_nnls_instance(20, 10, seed=0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 5),
+                                       (5, 1)])
+    @pytest.mark.parametrize("gen", [generate_logreg_instance,
+                                     generate_nnls_instance])
+    def test_empty_and_thin_shapes(self, monkeypatch, capfd, gen, shape):
+        # LAPACK refuses a 0 x 0 draw and says so on the terminal; a draw
+        # with no column is its own Q, as np.linalg.qr returns it
+        from aaprox import datasets
+
+        new = gen(*shape, seed=3)
+        assert capfd.readouterr() == ("", "")
+        monkeypatch.setattr(datasets, "_orthonormal_columns",
+                            lambda g: np.linalg.qr(g)[0])
+        old = gen(*shape, seed=3)
+        assert new.A.shape == old.A.shape == shape
+        assert new.b.shape == old.b.shape == shape[:1]
+        assert new.A.tobytes() == old.A.tobytes()
+        assert new.b.tobytes() == old.b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2000, 1000), (1000, 1000), (300, 100),
+                                       (100, 100), (500, 1), (1, 1)])
+    def test_orthonormal_columns_are_numpys_q(self, shape):
+        # scipy's LAPACK against numpy's: bit for bit, or the generators'
+        # floats differ from np.linalg.qr's on this host. The first two
+        # are the shapes of the draws of the benchmark's 2000 x 1000
+        # instance (seed 4), and the first is its first draw
+        from aaprox.datasets import _orthonormal_columns
+
+        g = np.random.default_rng(4).standard_normal(shape)
+        q = np.linalg.qr(g, mode="reduced")[0]
+        assert _orthonormal_columns(g.copy()).tobytes() == q.tobytes()
+
+    def test_resident_peak_sees_lapacks_buffers(self):
+        # tracemalloc misses what numpy's QR gufuncs and LAPACK allocate,
+        # so this reads the resident high-water mark of a fresh interpreter
+        # once both BLAS libraries have run. The growth was 5.3 times the
+        # output with np.linalg.qr's gufuncs and is 3.4 times on one
+        # Fortran copy of each draw
+        try:
+            with open("/proc/self/status") as fh:
+                if "VmHWM:" not in fh.read():
+                    pytest.skip("no VmHWM in /proc/self/status")
+        except OSError:
+            pytest.skip("no /proc/self/status")
+        script = textwrap.dedent("""
+            import re
+            import aaprox
+            import numpy as np
+            from scipy.linalg import lapack
+            from aaprox.datasets import generate_nnls_instance
+
+            def hwm():
+                with open("/proc/self/status") as fh:
+                    return 1024 * int(re.search(r"^VmHWM:\\s+(\\d+) kB",
+                                                fh.read(), re.M).group(1))
+
+            generate_nnls_instance(200, 200)
+            lapack.dgeqrf(np.ones((200, 200), order="F"))
+            np.ones((200, 200)) @ np.ones((200, 200))
+            before = hwm()
+            A = generate_nnls_instance(1000, 1000).A
+            print((hwm() - before) / A.nbytes)
+            """)
+        src = os.path.dirname(os.path.dirname(aaprox.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True)
+        growth = float(out.stdout)
+        assert growth <= 3.75, growth
 
     def test_logreg_shapes_and_labels(self):
         data = generate_logreg_instance(50, 20, seed=0)
