@@ -83,40 +83,55 @@ def _xlogx(x):
     return out
 
 
+# exp underflows to 0 near y = -745; keep the image of _shannon_primal inside
+# the open domain so _shannon_mirror stays evaluable on it. Overflow to inf
+# is left alone for callers to detect.
+_TINY = np.finfo(float).tiny
+
+
+def _shannon_mirror(x):
+    """log x + 1, the Shannon gradient, with no domain check."""
+    out = np.log(x)
+    out += 1.0
+    return out
+
+
+def _shannon_primal(y):
+    """max(exp(y - 1), tiny), the Shannon conjugate gradient of a float
+    array y, warning as numpy's errstate says."""
+    out = y - 1.0
+    np.exp(out, out=out)
+    return np.maximum(out, _TINY, out=out)
+
+
+def _shannon_value(x):
+    # one min() settles both tests unless it is nan, where the entrywise
+    # domain test and the zero mask decide as before
+    x = np.asarray(x, dtype=float)
+    low = x.min(initial=np.inf)
+    if low > 0:
+        return float((x * np.log(x)).sum())
+    if low < 0 or (low != low and (x < 0).any()):
+        raise DomainError("shannon kernel needs x >= 0")
+    return float(_xlogx(x).sum())
+
+
+def _shannon_grad(x):
+    x = np.asarray(x, dtype=float)
+    if _some_at_most(x, 0.0):
+        raise DomainError("shannon gradient needs x > 0")
+    return _shannon_mirror(x)
+
+
+def _shannon_conj_grad(y):
+    with np.errstate(over="ignore", under="ignore"):
+        return _shannon_primal(np.asarray(y, dtype=float))
+
+
 def shannon_kernel() -> Kernel:
     """phi(x) = sum x_i log x_i on the nonnegative orthant, 0 log 0 = 0."""
-
-    def value(x):
-        # one min() settles both tests unless it is nan, where the
-        # entrywise domain test and the zero mask decide as before
-        x = np.asarray(x, dtype=float)
-        low = x.min(initial=np.inf)
-        if low > 0:
-            return float((x * np.log(x)).sum())
-        if low < 0 or (low != low and (x < 0).any()):
-            raise DomainError("shannon kernel needs x >= 0")
-        return float(_xlogx(x).sum())
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        if _some_at_most(x, 0.0):
-            raise DomainError("shannon gradient needs x > 0")
-        out = np.log(x)
-        out += 1.0
-        return out
-
-    # exp underflows to 0 near y = -745; keep the image of conj_grad inside
-    # the open domain so grad(conj_grad(y)) stays evaluable. Overflow to inf
-    # is left alone for callers to detect.
-    tiny = np.finfo(float).tiny
-
-    def conj_grad(y):
-        out = np.asarray(y, dtype=float) - 1.0
-        with np.errstate(over="ignore", under="ignore"):
-            np.exp(out, out=out)
-        return np.maximum(out, tiny, out=out)
-
-    return Kernel("shannon", value, grad, conj_grad, full_dual_domain=True)
+    return Kernel("shannon", _shannon_value, _shannon_grad,
+                  _shannon_conj_grad, full_dual_domain=True)
 
 
 def _checked(fn, outside, message: str):
@@ -337,7 +352,21 @@ def _settled(x, g, y):
 def _geometry(kern: Kernel, h: NonsmoothTerm):
     """The kernel's mirror map, the Bregman proximal map back to x, and the
     settled-coordinate mask of _settled for the Shannon kernel (None for
-    every other kernel)."""
+    every other kernel).
+
+    Where the kernel's grad and conj_grad are shannon_kernel's own maps (by
+    identity, so wrapped maps are checked) and h = 0, the pair is the
+    unchecked interior one, _shannon_mirror and _shannon_primal, with the
+    same floats. Every x the loop maps is then a _shannon_primal output,
+    at least tiny where it is not nan, or the start point run_bpg has
+    already checked, and the loop's errstate stands in for conj_grad's own.
+    The l1 and simplex proximal maps can underflow to 0, where the gradient
+    must raise, so they keep the checked maps.
+    """
+    if (kern.grad is _shannon_grad and kern.conj_grad is _shannon_conj_grad
+            and h.kind == "zero"):
+        return (_shannon_mirror, lambda y, gamma: _shannon_primal(y),
+                _settled)
     return (kern.grad,
             lambda y, gamma: bregman_prox(h, kern, gamma, kern.conj_grad(y)),
             _settled if kern.name == "shannon" else None)
@@ -393,12 +422,13 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
             "kernel %r does not cover the whole mirror space; "
             "extrapolated mirror points would leave its conjugate domain"
             % kern.name)
-    kern = replace(kern, value=_IdentityMemo(kern.value),
-                   grad=_IdentityMemo(kern.grad))
     mirror, to_primal, settled = _geometry(kern, problem.h)
+    mirror = _IdentityMemo(mirror)
+    kern = replace(kern, value=_IdentityMemo(kern.value), grad=mirror)
     y = np.asarray(y0, dtype=float)
-    return _proximal_gradient(problem, to_primal(y, gamma), y, gamma,
-                              mirror, to_primal,
+    with np.errstate(over="ignore", under="ignore"):  # as conj_grad's own
+        x = to_primal(y, gamma)
+    return _proximal_gradient(problem, x, y, gamma, mirror, to_primal,
                               partial(bregman_descent_check, kernel=kern),
                               AndersonEngine(y.size, aa_config),
                               settled=settled, tol=tol,

@@ -418,6 +418,11 @@ def _conditioned_matrix(rng, M, n, cond):
     counts traced memory only. The resident peak also holds BLAS's work
     buffers and freed blocks malloc keeps: it grows by about 3.4 times the
     output at 1000 x 1000 and at 2000 x 1000.
+
+    The floats depend on the BLAS thread count (AAPROX_THREADS): the
+    factorisation rounds differently on more than one thread. At two
+    threads, 600 x 600 and 2000 x 1000 at seed 4 give other bytes than at
+    one; 200 x 100 at seed 1 gives the same.
     """
     k = min(M, n)
     u = _orthonormal_columns(rng.standard_normal((M, k)))
@@ -431,7 +436,8 @@ def generate_logreg_instance(M: int, n: int, seed: int = 0,
     """Ill-conditioned binary classification data with labels in {-1, +1}.
 
     A planted weight vector produces the labels, with 5 percent flipped so
-    the problem is not separable.
+    the problem is not separable. A depends on the BLAS thread count, as in
+    _conditioned_matrix.
     """
     rng = np.random.default_rng(seed)
     A = _conditioned_matrix(rng, M, n, cond)
@@ -445,7 +451,12 @@ def generate_logreg_instance(M: int, n: int, seed: int = 0,
 
 def generate_nnls_instance(M: int, n: int, seed: int = 0,
                            cond: float = 1e3) -> DatasetMatrix:
-    """Least-squares data whose planted solution is sparse and nonnegative."""
+    """Least-squares data whose planted solution is sparse and nonnegative.
+
+    A depends on the BLAS thread count, as in _conditioned_matrix: at two
+    threads (600, 600, seed=4) and (2000, 1000, seed=4) give other bytes
+    than at the default one.
+    """
     rng = np.random.default_rng(seed)
     A = _conditioned_matrix(rng, M, n, cond)
     x_true = np.maximum(rng.standard_normal(n), 0.0)

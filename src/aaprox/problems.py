@@ -108,15 +108,27 @@ def _logistic_point(x, A, neg_y):
 
 
 def _some_at_most(x, bound: float) -> bool:
-    """(x <= bound).any() for a float array x; where x.min() > bound, one
-    reduction settles it without the elementwise test."""
-    return not (x.size and x.min() > bound) and bool((x <= bound).any())
+    """(x <= bound).any() for a float array x; where its minimum is above
+    bound, one reduction settles it without the elementwise test. The
+    minimum is np.minimum.reduce, the float x.min() gives without its
+    wrapper."""
+    return (not (x.size and np.minimum.reduce(x, None) > bound)
+            and bool((x <= bound).any()))
+
+
+def _vector(v):
+    """A product A @ x as a 1-D array: itself where it already is one, as
+    an ndarray or scipy sparse A gives; a matrix-like A's 2-D result is
+    flattened."""
+    if type(v) is np.ndarray and v.ndim == 1:
+        return v
+    return np.asarray(v).ravel()
 
 
 def _kl_point(x, A, b):
     """(A x, log(A x / b)), the pair KlLoss's value and gradient share;
     DomainError unless every entry of A x is positive."""
-    u = np.asarray(A @ x).ravel()
+    u = _vector(A @ x)
     if _some_at_most(u, 0.0):
         raise DomainError("A x must be positive on every nonzero row")
     ratio = u / b
@@ -316,7 +328,7 @@ class KlLoss:
 
     def grad(self, x) -> np.ndarray:
         _, ratio = self._point(x, self._live_A, self._live_b)
-        return np.asarray(self._live_AT @ ratio).ravel()
+        return _vector(self._live_AT @ ratio)
 
 
 class QuadraticLoss:

@@ -15,8 +15,10 @@ fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
 row per iterate produced, and report how they stopped. Guarded BPG under the
 Shannon kernel records and stops on r_k with its settled coordinates (those
 at the boundary, see aaprox.bregman) set to 0. Each run ignores
-floating-point overflow and invalid operations: a run whose objective
-overflows ends as "degenerate" with an inf row instead of warning.
+floating-point overflow, underflow and invalid operations, whatever
+np.errstate its caller set: a run whose objective overflows ends as
+"degenerate" with an inf row instead of warning or raising, and an entry
+that underflows to a subnormal or 0 is taken as it is.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     The first row whose objective is not finite records inf and ends the
     run as "degenerate". The step g is formed in the buffer of gamma grad,
     so grad itself is never written. The loop runs under one np.errstate
-    that ignores overflow and invalid operations, so a run that overflows
-    is reported as "degenerate", not warned about.
+    that ignores overflow, underflow and invalid operations, so a run that
+    overflows is reported as "degenerate", not warned about, and a caller's
+    errstate does not reach the maps and guards it calls.
     settled(x, g, y), when given, returns a boolean mask of coordinates left
     out of the extrapolation, or None. A row with a mask pushes a zero
     residual there (y takes g's entries) and writes g's entries into the
@@ -223,7 +226,7 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(max(max_iters, 1)):  # the first step is always taken
             grad = f.grad(x)
             g = gamma * grad
@@ -372,8 +375,9 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     a surrogate for the gradient mapping norm. A row records the objective
     at x_{k+1}, a prox output, so f alone where h's kind is in
     PROJECTION_KINDS. The first row whose objective is not finite records
-    inf and ends the run as "degenerate"; the loop ignores overflow and
-    invalid operations, so such a run is reported, not warned about.
+    inf and ends the run as "degenerate"; the loop ignores overflow,
+    underflow and invalid operations, so such a run is reported, not
+    warned about.
     """
     gamma = _step_size(problem.f, gamma)
     start = time.perf_counter()
@@ -383,7 +387,7 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         # the first step is always taken
         for k in range(1, max(max_iters, 1) + 1):
             z = x - x_prev

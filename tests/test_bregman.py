@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
+from aaprox import bregman
 from aaprox.anderson import AAConfig
 from aaprox.bregman import (
     BregmanProblem,
@@ -433,6 +435,33 @@ class TestRunBpg:
         assert rep.termination == "tol"
 
 
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -1e-300, -1.0])
+    def test_refuses_a_start_outside_the_open_orthant(self, entry):
+        # the loop's mirror map under the Shannon kernel has no domain
+        # check of its own; it relies on this one
+        base = kl_problem(seed=13)
+        calls = []
+
+        class Loss:
+            smoothness = base.f.smoothness
+
+            def value(self, x):
+                calls.append("value")
+                return base.f.value(x)
+
+            def grad(self, x):
+                calls.append("grad")
+                return base.f.grad(x)
+
+        prob = BregmanProblem(shannon_kernel(), Loss(), base.h, base.gamma,
+                              base.n)
+        x0 = np.ones(prob.n)
+        x0[3] = entry
+        with pytest.raises(DomainError):
+            run_bpg(prob, x0, max_iters=10)
+        assert calls == []
+
+
 class TestRunGuardedAaBpg:
     def test_rejects_kernels_without_full_dual_domain(self):
         prob = kl_problem(seed=14)
@@ -602,3 +631,102 @@ class TestRunGuardedAaBpg:
             assert abs(x.sum() - 1.0) <= 1e-9
             assert np.all(x > 0.0)
         assert rep.trace.objective[-1] <= 1e-6
+
+
+class TestInteriorShannonPath:
+    """With shannon_kernel's own maps and h = 0, the loop maps x and y
+    through the unchecked _shannon_mirror and _shannon_primal; a kernel
+    whose fields wrap the same maps takes the checked path."""
+
+    @staticmethod
+    def wrapped_shannon():
+        k = shannon_kernel()
+        return Kernel("shannon", lambda x: k.value(x), lambda x: k.grad(x),
+                      lambda y: k.conj_grad(y), full_dual_domain=True)
+
+    def test_only_the_packages_own_maps_with_h_zero_run_unchecked(self):
+        def mirror(kernel, h):
+            return bregman._geometry(kernel, h)[0]
+
+        shannon = shannon_kernel()
+        assert mirror(shannon, zero_term()) is bregman._shannon_mirror
+        wrapped = self.wrapped_shannon()
+        assert mirror(wrapped, zero_term()) is wrapped.grad
+        for h in (l1_term(0.1), simplex_indicator()):
+            assert mirror(shannon, h) is shannon.grad
+
+    @staticmethod
+    def instance(case):
+        if case == "readme":
+            data = generate_kl_instance(80, 30, seed=1)
+            return data.A, data.b
+        rng = np.random.default_rng(29)
+        A = rng.random((40, 12))
+        if case == "zero_row":
+            A[[3, 17]] = 0.0
+        if case == "csr":
+            A[A < 0.5] = 0.0
+        # a planted point with zeros and enough noise that the live-support
+        # mask engages within the runs below
+        x_true = np.where(rng.random(12) < 0.4, 0.0, rng.uniform(0.5, 2.0, 12))
+        b = (A @ x_true + 0.01) * np.exp(0.3 * rng.standard_normal(40))
+        return (sparse.csr_matrix(A) if case == "csr" else A), b
+
+    @pytest.mark.parametrize("case", ["all_live", "zero_row", "csr",
+                                      "readme"])
+    def test_interior_path_is_the_checked_path_bit_for_bit(self, case):
+        A, b = self.instance(case)
+        f = kl_loss(A, b)
+        n = A.shape[1]
+        x0 = np.ones(n)
+        reports = []
+        for kernel in (shannon_kernel(), self.wrapped_shannon()):
+            prob = BregmanProblem(kernel, f, zero_term(), 1.0 / f.smoothness,
+                                  n)
+            y0 = kernel.grad(x0) - prob.gamma * f.grad(x0)
+            reports.append((run_bpg(prob, x0, max_iters=400),
+                            run_guarded_aa_bpg(prob, y0, AAConfig(m=5),
+                                               max_iters=400)))
+        for interior, checked in zip(*reports):
+            assert interior.trace.objective == checked.trace.objective
+            assert interior.trace.residual == checked.trace.residual
+            assert interior.trace.step_kind == checked.trace.step_kind
+            assert interior.termination == checked.termination
+            assert (interior.x == checked.x).all()
+        kinds = reports[0][1].trace.step_kind
+        assert "AA" in kinds and "fallback" in kinds
+
+    def test_the_guard_reuses_the_interior_mirror(self, monkeypatch):
+        # one mirror map per row: the guard's grad phi(x) is the step's
+        prob = kl_problem(seed=16, M=60, n=10)
+        y0 = prob.kernel.grad(np.ones(prob.n))
+        calls = []
+        original = bregman._shannon_mirror
+
+        def mirror(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(bregman, "_shannon_mirror", mirror)
+        kinds = run_guarded_aa_bpg(prob, y0, AAConfig(m=4),
+                                   max_iters=150).trace.step_kind
+        assert len(calls) == len(kinds) == 150
+        assert "AA" in kinds and "fallback" in kinds
+
+    @pytest.mark.parametrize("y0", [-700.0, -720.0, -800.0])
+    def test_a_callers_underflow_errstate_does_not_reach_the_run(self, y0):
+        # the README instance from a start whose x underflows towards 0:
+        # the mask's threshold 1e-8 max x and the KL products underflow
+        data = generate_kl_instance(80, 30, seed=1)
+        f = kl_loss(data.A, data.b)
+        prob = BregmanProblem(shannon_kernel(), f, zero_term(),
+                              1.0 / f.smoothness, 30)
+        start = np.full(30, y0)
+        expected = run_guarded_aa_bpg(prob, start, AAConfig(m=5),
+                                      max_iters=500)
+        with np.errstate(under="raise"):
+            rep = run_guarded_aa_bpg(prob, start, AAConfig(m=5),
+                                     max_iters=500)
+        assert rep.trace.objective == expected.trace.objective
+        assert rep.trace.step_kind == expected.trace.step_kind
+        assert np.array_equal(rep.x, expected.x)

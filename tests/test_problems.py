@@ -535,15 +535,20 @@ class TestKlLoss:
         f = kl_loss(A, np.ones(2))
         assert f.smoothness == 3.5
 
-    @pytest.mark.parametrize("case", ["all_live", "zero_rows", "csr"])
+    @pytest.mark.filterwarnings(
+        "ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("case", ["all_live", "zero_rows", "csr",
+                                      "matrix"])
     def test_value_and_gradient_equal_the_textbook_formula(self, case):
-        # bit for bit: sharing log(A x / b) between the two changes no float
+        # bit for bit: sharing log(A x / b) between the two changes no float;
+        # a np.matrix A gives 2-D products, which the loss flattens
         rng = np.random.default_rng(13)
         A = rng.random((40, 6))
         if case == "zero_rows":
             A[[3, 17, 18]] = 0.0
         b = rng.random(40) + 0.5
-        mat = sparse.csr_matrix(A) if case == "csr" else A
+        mat = {"csr": sparse.csr_matrix(A),
+               "matrix": np.asmatrix(A)}.get(case, A)
         live = A.sum(axis=1) != 0.0
         live_A = mat[live] if case == "zero_rows" else mat
         live_b, mass = b[live], np.sum(b[~live])

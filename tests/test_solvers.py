@@ -972,6 +972,24 @@ def test_divergence_is_reported_without_a_warning(driver, rows):
     assert rep.trace.objective[-1] == np.inf
 
 
+@pytest.mark.parametrize("driver", [run_pga, run_guarded_aa_pga,
+                                    run_nesterov_pga])
+def test_a_callers_underflow_errstate_does_not_reach_the_loop(driver):
+    # a target near the smallest normal float: the loop's products and dots
+    # underflow, which the caller's under="raise" would turn into a
+    # FloatingPointError halfway through the run
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((20, 5))
+    b = 1e-300 * rng.standard_normal(20)
+    prob = CompositeProblem(least_squares_loss(A, b), zero_term(), 5)
+    expected = driver(prob, np.zeros(5), max_iters=50)
+    with np.errstate(under="raise"):
+        rep = driver(prob, np.zeros(5), max_iters=50)
+    assert rep.trace.objective == expected.trace.objective
+    assert rep.trace.residual == expected.trace.residual
+    assert np.array_equal(rep.x, expected.x)
+
+
 def far_quadratic(scale, h=None, seed=23, n=6):
     """f(x) = scale q(x / scale) for a quadratic q near 1 in size: values,
     gradients and steps of the unit-scale problem, times a power of two.
