@@ -19,7 +19,8 @@ from scipy.special import expit
 
 from .anderson import AAConfig, AndersonEngine
 from .problems import (CompositeProblem, DomainError, NonsmoothTerm,
-                       _IdentityMemo, _some_at_most)
+                       UnsupportedProxError, _euclidean_prox, _IdentityMemo,
+                       _some_at_most)
 from .solvers import SolveReport, _proximal_gradient, _step_size
 
 __all__ = [
@@ -39,10 +40,6 @@ __all__ = [
     "run_guarded_aa_bpg",
     "shannon_kernel",
 ]
-
-
-class UnsupportedProxError(ValueError):
-    """No closed-form Bregman proximal map for this kernel and term."""
 
 
 @dataclass
@@ -273,10 +270,7 @@ def bregman_prox(h: NonsmoothTerm, kernel: Kernel, gamma: float,
     if h.kind == "zero":
         return u
     if kernel.name == "energy":
-        if h.prox is None:
-            raise UnsupportedProxError(
-                "term %r has no Euclidean proximal map" % h.kind)
-        return h.prox(u, gamma)
+        return _euclidean_prox(h)(u, gamma)
     if kernel.name == "shannon" and h.kind in ("l1", "simplex"):
         if _some_at_most(u, 0.0):
             raise DomainError("shannon proximal map needs u > 0")

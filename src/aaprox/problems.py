@@ -31,11 +31,15 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import aslinearoperator, eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 
 class DomainError(ValueError):
     """Evaluation outside the domain of a loss or kernel."""
+
+
+class UnsupportedProxError(ValueError):
+    """No closed-form proximal map for this term (and kernel)."""
 
 
 class _IdentityMemo:
@@ -363,14 +367,18 @@ def operator_norm_sq(A) -> float:
 
     Lanczos (ARPACK) on the normal operator of A's smaller side, started
     from a fixed vector, so the same A always gives the same float.
-    ArpackNoConvergence propagates.
+    ArpackNoConvergence propagates. Its products go through A and A^T, a
+    view for a real A, so A is not copied.
     """
     # ARPACK takes neither a zero operator nor one of size 1
     if not (A.count_nonzero() if sparse.issparse(A) else np.any(A)):
         return 0.0
-    op = aslinearoperator(A)
-    normal = op.H @ op if op.shape[1] <= op.shape[0] else op @ op.H
-    side = normal.shape[0]
+    side = min(A.shape)
+    At = A.T.conj() if np.iscomplexobj(A) else A.T
+    first, second = (A, At) if A.shape[1] <= A.shape[0] else (At, A)
+    normal = LinearOperator(  # A^T A or A A^T
+        (side, side), dtype=A.dtype,
+        matvec=lambda v: _product(_product(v, first), second))
     if side == 1:
         return float(normal.matvec(np.ones(1))[0])
     v0 = np.random.default_rng(0).standard_normal(side)
@@ -421,6 +429,14 @@ def l1_term(lam: float) -> NonsmoothTerm:
 # term of these kinds lies in the set, where h is 0. The solver loops record
 # f alone at such points; a custom term of these kinds must keep the promise.
 PROJECTION_KINDS = frozenset({"box", "nonneg"})
+
+
+def _euclidean_prox(h: NonsmoothTerm):
+    """h.prox, or UnsupportedProxError where h has none."""
+    if h.prox is None:
+        raise UnsupportedProxError(
+            "term %r has no Euclidean proximal map" % h.kind)
+    return h.prox
 
 
 def box_indicator(lo: float = -1.0, hi: float = 1.0) -> NonsmoothTerm:

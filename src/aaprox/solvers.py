@@ -1,8 +1,9 @@
 """Proximal gradient drivers: plain, extrapolated, guarded, and momentum.
 
-The plain, extrapolated and guarded drivers, here and in aaprox.bregman, are
-one loop, _proximal_gradient, parameterised by geometry (a mirror map and the
-map back to the primal point) and guard; the momentum driver has its own.
+The plain, extrapolated, guarded and momentum drivers, here and in
+aaprox.bregman, are one loop, _proximal_gradient, parameterised by geometry
+(a mirror map and the map back to the primal point) and guard; a momentum
+row takes its gradient at an extrapolated point instead of at x.
 Where the Euclidean guard rejects an extrapolated candidate but passes the
 plain step, one candidate halfway between the two is tried before falling
 back; a step taken there is recorded as "damped". f is assumed convex, so
@@ -11,8 +12,9 @@ guard is rejected without evaluating f there.
 Every driver, here and in aaprox.bregman, takes its step from _step_size:
 gamma as given, or 1/L for f's smoothness constant L, positive and finite.
 All drivers share the stopping rule ||r_k|| <= tol * max(1, ||g_k||) on the
-fixed-point residual r_k = g_k - y_k of the underlying map, record one trace
-row per iterate produced, and report how they stopped. Guarded BPG under the
+fixed-point residual r_k = g_k - y_k of the underlying map (momentum takes
+r_k = (x_{k+1} - x_k) / gamma and g_k = x_{k+1}), record one trace row per
+iterate produced, and report how they stopped. Guarded BPG under the
 Shannon kernel records and stops on r_k with its settled coordinates (those
 at the boundary, see aaprox.bregman) set to 0. Each run ignores
 floating-point overflow, underflow and invalid operations, whatever
@@ -32,7 +34,7 @@ from scipy.linalg.blas import ddot
 
 from .anderson import AAConfig, AndersonEngine
 from .problems import (PROJECTION_KINDS, CompositeProblem, DomainError,
-                       _IdentityMemo)
+                       _euclidean_prox, _IdentityMemo)
 
 __all__ = [
     "IterationTrace",
@@ -179,8 +181,8 @@ def _candidate_value(f, guard, x_test, f_curr, grad, x_plain, x,
 def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                        guard=None, engine: AndersonEngine | None = None,
                        bracketed: bool = False, settled=None, tol: float = 0.0,
-                       max_iters: int = 1000,
-                       keep_iterates: bool = False) -> SolveReport:
+                       max_iters: int = 1000, keep_iterates: bool = False,
+                       _momentum: bool = False) -> SolveReport:
     """The proximal gradient loop behind the pga and bpg drivers.
 
     Iterates y <- mirror(x) - gamma grad f(x), x = to_primal(y, gamma) from
@@ -218,6 +220,11 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     residual there (y takes g's entries) and writes g's entries into the
     mixed point; that masked residual is the one recorded and tested
     against tol. A row whose mask is None pushes g and y unchanged.
+    With _momentum (no engine, guard or settled), row k steps from
+    z = x + beta_k (x - x_prev), beta_k = k / (k + 3), instead of from x, so
+    row 0 is the plain step. It has no residual or stop before its step: it
+    records ||x_next - x|| / gamma and, after its row, stops when that is at
+    most tol * max(1, ||x_next||).
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
@@ -225,20 +232,27 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     projected = h.kind in PROJECTION_KINDS
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
+    x_prev = x
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(max(max_iters, 1)):  # the first step is always taken
-            grad = f.grad(x)
+            z = x
+            if _momentum:
+                z = x - x_prev
+                z *= k / (k + 3.0)
+                z += x
+            grad = f.grad(z)
             g = gamma * grad
-            np.subtract(mirror(x), g, out=g)
+            np.subtract(mirror(z), g, out=g)
             mask = None if settled is None else settled(x, g, y)
             if mask is not None:  # a zero residual on settled coordinates
                 y = np.where(mask, g, y)
-            rn = _norm(g - y if engine is None else engine.push(g, y))
-            if k and _stop(rn, g, tol):
-                termination = "tol"
-                break
-            f_next, kind = None, "plain"
+            if not _momentum:
+                rn = _norm(g - y if engine is None else engine.push(g, y))
+                if k and _stop(rn, g, tol):
+                    termination = "tol"
+                    break
+            f_next, kind, x_prev = None, "plain", x
             y_ext = g if engine is None else engine.extrapolate()[0]
             if mask is not None and y_ext is not g:
                 # a mixed point is a new array: write the plain values in
@@ -271,6 +285,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                                 x_next, y, f_next, kind = (
                                     x_half, y_half, f_half, "damped")
                     x = x_next
+            if _momentum:
+                rn = _norm(x - x_prev) / gamma
             if f_next is None:
                 f_next = f.value(x) if _finite(x) else np.inf
             f_curr = objective = f_next
@@ -282,6 +298,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             elapsed = time.perf_counter() - start
             trace.record(objective, rn, kind, elapsed, x)
             if termination == "degenerate":
+                break
+            if _momentum and _stop(rn, x, tol):
+                termination = "tol"
                 break
 
     return SolveReport(x, trace, termination, gamma)
@@ -307,7 +326,7 @@ def _run_euclidean(problem: CompositeProblem, x0, gamma: float | None,
     x = np.asarray(x0, dtype=float)
     engine = None if aa_config is None else AndersonEngine(x.size, aa_config)
     return _proximal_gradient(problem, x, x, gamma, lambda v: v,
-                              problem.h.prox, guard, engine,
+                              _euclidean_prox(problem.h), guard, engine,
                               bracketed=guard is not None, **options)
 
 
@@ -379,39 +398,6 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     underflow and invalid operations, so such a run is reported, not
     warned about.
     """
-    gamma = _step_size(problem.f, gamma)
-    start = time.perf_counter()
-    projected = problem.h.kind in PROJECTION_KINDS
-    x = np.asarray(x0, dtype=float)
-    x_prev = x
-    trace = IterationTrace(keep_iterates)
-    termination = "max_iters"
-
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # the first step is always taken
-        for k in range(1, max(max_iters, 1) + 1):
-            z = x - x_prev
-            z *= (k - 1.0) / (k + 2.0)
-            z += x
-            step = gamma * problem.f.grad(z)
-            np.subtract(z, step, out=step)
-            x_next = problem.h.prox(step, gamma)
-            rn = _norm(x_next - x) / gamma
-            x_prev, x = x, x_next
-            if not _finite(x):
-                objective = np.inf
-            elif projected:  # x is a prox output, so h(x) = 0
-                objective = float(problem.f.value(x))
-            else:
-                objective = problem.objective(x)
-            finite = math.isfinite(objective)
-            trace.record(objective if finite else np.inf, rn, "plain",
-                         time.perf_counter() - start, x)
-            if not finite:
-                termination = "degenerate"
-                break
-            if _stop(rn, x, tol):
-                termination = "tol"
-                break
-
-    return SolveReport(x, trace, termination, gamma)
+    return _run_euclidean(problem, x0, gamma, None, None, tol=tol,
+                          max_iters=max_iters, keep_iterates=keep_iterates,
+                          _momentum=True)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.sparse.linalg import aslinearoperator, eigsh
 from scipy.special import expit
 
 from aaprox.anderson import AAConfig
-from aaprox.datasets import generate_nnls_instance
+from aaprox.datasets import generate_kl_instance, generate_nnls_instance
 from aaprox.problems import (
     PROJECTION_KINDS,
     CompositeProblem,
@@ -660,6 +661,56 @@ def test_operator_norm_sq_is_repeatable():
 def test_operator_norm_sq_zero_matrix():
     assert operator_norm_sq(np.zeros((4, 3))) == 0.0
     assert operator_norm_sq(sparse.csr_matrix((4, 3))) == 0.0
+
+
+def normal_operator_matrix(kind):
+    rng = np.random.default_rng(21)
+    if kind == "kl_hard":
+        return generate_kl_instance(500, 50, seed=3, density=0.5,
+                                    noise=0.1).A
+    if kind == "libsvm_cli":
+        # 20000 x 2000 CSR with about 10 nonzeros per row
+        M, n, per_row = 20000, 2000, 10
+        rows = np.repeat(np.arange(M), per_row)
+        cols = rng.integers(0, n, size=M * per_row)
+        return sparse.csr_matrix(
+            (rng.standard_normal(M * per_row), (rows, cols)), shape=(M, n))
+    shape = {"tall": (50, 20), "wide": (20, 50), "square": (30, 30),
+             "fortran": (40, 25), "1x9": (1, 9), "9x1": (9, 1),
+             "matrix": (40, 15), "complex": (30, 10)}.get(kind)
+    if shape is not None:
+        A = rng.standard_normal(shape)
+        if kind == "complex":
+            return A + 1j * rng.standard_normal(shape)
+        return {"fortran": np.asfortranarray,
+                "matrix": np.asmatrix}.get(kind, np.asarray)(A)
+    fmt, shape = {"csr_tall": ("csr", (80, 30)), "csr_wide": ("csr", (30, 80)),
+                  "coo": ("coo", (70, 40)), "csc": ("csc", (40, 70))}[kind]
+    return sparse.random(*shape, density=0.1, random_state=rng, format=fmt)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:the matrix subclass:PendingDeprecationWarning")
+@pytest.mark.parametrize("kind", [
+    "tall", "wide", "square", "fortran", "1x9", "9x1", "matrix", "csr_tall",
+    "csr_wide", "coo", "csc", "kl_hard", "libsvm_cli", "complex"])
+def test_operator_norm_sq_equals_the_composed_normal_operator(kind):
+    # the same float as Lanczos on scipy's op.H @ op (or op @ op.H), whose
+    # adjoint copies a sparse A
+    A = normal_operator_matrix(kind)
+    # first: its zero test, count_nonzero, puts a COO matrix's entries in
+    # canonical order in place, and the products below add them in order
+    got = operator_norm_sq(A)
+    op = aslinearoperator(A)
+    normal = op.H @ op if A.shape[1] <= A.shape[0] else op @ op.H
+    side = normal.shape[0]
+    if side == 1:
+        expected = float(normal.matvec(np.ones(1))[0])
+    else:
+        v0 = np.random.default_rng(0).standard_normal(side)
+        expected = float(eigsh(normal, k=1, which="LA", v0=v0,
+                               return_eigenvectors=False)[0])
+    assert got == expected
 
 
 class TestProximalMaps:

@@ -1,5 +1,7 @@
 """Proximal gradient drivers: steps, guards, traces, and stopping."""
 
+import math
+import time
 import warnings
 from functools import partial
 
@@ -25,20 +27,28 @@ from aaprox.bregman import (
     shannon_kernel,
 )
 from aaprox.problems import (
+    PROJECTION_KINDS,
     CompositeProblem,
     DomainError,
     NonsmoothTerm,
     QuadraticLoss,
+    UnsupportedProxError,
     box_indicator,
     kl_loss,
     l1_term,
     least_squares_loss,
     logistic_loss,
     nonneg_indicator,
+    simplex_indicator,
     zero_term,
 )
 from aaprox.solvers import (
     IterationTrace,
+    SolveReport,
+    _finite,
+    _norm,
+    _step_size,
+    _stop,
     _value_or_inf,
     descent_check,
     pga_step,
@@ -1304,3 +1314,158 @@ def test_all_drivers_agree_on_an_easy_problem():
     rep = run_guarded_aa_pga(prob, x0, aa_config=AAConfig(m=4), tol=1e-12,
                              max_iters=20000)
     assert_allclose(rep.x, target, atol=1e-8)
+
+
+def reference_nesterov_pga(problem, x0, gamma=None, tol=0.0, max_iters=1000,
+                           keep_iterates=False):
+    """run_nesterov_pga as it was when momentum had a loop of its own."""
+    gamma = _step_size(problem.f, gamma)
+    start = time.perf_counter()
+    projected = problem.h.kind in PROJECTION_KINDS
+    x = np.asarray(x0, dtype=float)
+    x_prev = x
+    trace = IterationTrace(keep_iterates)
+    termination = "max_iters"
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # the first step is always taken
+        for k in range(1, max(max_iters, 1) + 1):
+            z = x - x_prev
+            z *= (k - 1.0) / (k + 2.0)
+            z += x
+            step = gamma * problem.f.grad(z)
+            np.subtract(z, step, out=step)
+            x_next = problem.h.prox(step, gamma)
+            rn = _norm(x_next - x) / gamma
+            x_prev, x = x, x_next
+            if not _finite(x):
+                objective = np.inf
+            elif projected:  # x is a prox output, so h(x) = 0
+                objective = float(problem.f.value(x))
+            else:
+                objective = problem.objective(x)
+            finite = math.isfinite(objective)
+            trace.record(objective if finite else np.inf, rn, "plain",
+                         time.perf_counter() - start, x)
+            if not finite:
+                termination = "degenerate"
+                break
+            if _stop(rn, x, tol):
+                termination = "tol"
+                break
+
+    return SolveReport(x, trace, termination, gamma)
+
+
+def permuted(A, b, seed):
+    if seed == 0:
+        return A, b
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(A.shape[0]), rng.permutation(A.shape[1])
+    return A[rows][:, cols], b[rows]
+
+
+def momentum_case(name, seed=0):
+    """(problem, x0, gamma): the benchmark's small logreg and nnls problems
+    with its row and column permutation, an nnls step 50 times too long,
+    60 x 30 least squares under each term, and an overflowing quadratic."""
+    if name == "logreg":
+        data = generate_logreg_instance(200, 100, seed=0, cond=1e5)
+        A, y = permuted(data.A, data.b, seed)
+        loss = logistic_loss(A, y, mu=1e-5)
+        term = box_indicator(-20.0, 20.0)
+    elif name == "nnls":
+        data = generate_nnls_instance(200, 100, seed=1, cond=1e3)
+        A, b = permuted(data.A, data.b, seed)
+        loss, term = least_squares_loss(A, b), nonneg_indicator()
+    elif name == "divergent":
+        data = generate_nnls_instance(80, 40)
+        loss = least_squares_loss(data.A, data.b)
+        prob = CompositeProblem(loss, nonneg_indicator(), 40)
+        return prob, np.ones(40), 50.0 / loss.smoothness
+    elif name == "overflow":
+        loss = QuadraticLoss(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+        return CompositeProblem(loss, zero_term(), 3), np.zeros(3), 1e308
+    else:
+        rng = np.random.default_rng(5)
+        loss = least_squares_loss(rng.standard_normal((60, 30)),
+                                  rng.standard_normal(60))
+        term = {"l1": l1_term(0.1), "box": box_indicator(-0.1, 0.1),
+                "zero": zero_term(), "nonneg": nonneg_indicator()}[name]
+    n = loss.n
+    return CompositeProblem(loss, term, n), np.zeros(n), 1.0 / loss.smoothness
+
+
+class TestMomentumMatchesItsOwnLoop:
+    """run_nesterov_pga runs on the shared loop; its traces, iterates, x,
+    termination and gamma are those of the loop it had, bit for bit."""
+
+    @staticmethod
+    def assert_same(prob, x0, gamma, **options):
+        got = run_nesterov_pga(prob, x0, gamma, keep_iterates=True, **options)
+        ref = reference_nesterov_pga(prob, x0, gamma, keep_iterates=True,
+                                     **options)
+        assert got.trace.objective == ref.trace.objective
+        assert got.trace.residual == ref.trace.residual
+        assert got.trace.step_kind == ref.trace.step_kind
+        assert len(got.trace.iterates) == len(ref.trace.iterates)
+        for a, b in zip(got.trace.iterates, ref.trace.iterates):
+            assert a.tobytes() == b.tobytes()
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.termination == ref.termination
+        assert got.gamma == ref.gamma
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["logreg", "nnls"])
+    def test_benchmark_problems_over_a_fixed_budget(self, name, seed):
+        rep = self.assert_same(*momentum_case(name, seed), max_iters=2000)
+        assert rep.termination == "max_iters"
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["logreg", "nnls"])
+    def test_benchmark_problems_to_a_tolerance(self, name, seed):
+        rep = self.assert_same(*momentum_case(name, seed), tol=1e-8,
+                               max_iters=20000)
+        assert rep.termination == "tol"
+
+    @pytest.mark.parametrize("name", ["divergent", "overflow"])
+    def test_a_run_that_ends_degenerate(self, name):
+        rep = self.assert_same(*momentum_case(name), max_iters=1000)
+        assert rep.termination == "degenerate"
+        assert rep.iterations == {"divergent": 95, "overflow": 1}[name]
+
+    @pytest.mark.parametrize("name", ["l1", "box", "zero", "nonneg"])
+    def test_each_term_to_a_tolerance(self, name):
+        rep = self.assert_same(*momentum_case(name), tol=1e-9,
+                               max_iters=100000)
+        assert rep.termination == "tol"
+
+    @pytest.mark.parametrize("name", ["l1", "box", "zero"])
+    def test_a_zero_budget_from_a_negative_zero_start(self, name):
+        prob, x0, gamma = momentum_case(name)
+        rep = self.assert_same(prob, np.full_like(x0, -0.0), gamma,
+                               max_iters=0)
+        assert rep.iterations == 1
+
+
+@pytest.mark.parametrize("driver", [run_pga, run_aa_pga, run_guarded_aa_pga,
+                                    run_nesterov_pga])
+def test_a_term_without_a_euclidean_prox_is_refused_before_any_gradient(
+        driver):
+    # the drivers used to call the missing prox after a gradient and raise
+    # TypeError; run_bpg under the energy kernel gives this same error
+    f = least_squares_loss(np.eye(3), np.ones(3))
+    prob = CompositeProblem(f, simplex_indicator(), 3)
+    calls = []
+    f.grad = lambda x: calls.append(x)
+    with pytest.raises(UnsupportedProxError,
+                       match="^term 'simplex' has no Euclidean proximal map$"):
+        driver(prob, np.full(3, 1.0 / 3.0))
+    assert calls == []
+    mirror = BregmanProblem(energy_kernel(),
+                            least_squares_loss(np.eye(3), np.ones(3)),
+                            prob.h, 1.0, 3)
+    with pytest.raises(UnsupportedProxError,
+                       match="^term 'simplex' has no Euclidean proximal map$"):
+        run_bpg(mirror, np.full(3, 1.0 / 3.0))
