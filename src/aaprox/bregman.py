@@ -3,10 +3,11 @@
 A Legendre kernel phi replaces the Euclidean geometry: the iteration moves
 in the mirror variable y = grad phi(x) - gamma grad f(x) and returns to the
 primal space through the conjugate gradient map and a kernel-aware proximal
-step. Extrapolation happens in the mirror variable, which is unconstrained
-whenever the kernel has a conjugate defined on all of R^n; the guard keeps
-only candidates passing a surrogate descent test. The drivers run the loop
-of aaprox.solvers with the kernel's geometry and the model-bound guard.
+step. Extrapolation happens in the mirror variable under every kernel: a
+mirror point outside the conjugate's domain is a rejected candidate, and
+the guard keeps only candidates passing a surrogate descent test. The
+drivers run the loop of aaprox.solvers with the kernel's geometry and the
+model-bound guard.
 """
 
 from __future__ import annotations
@@ -44,17 +45,12 @@ __all__ = [
 
 @dataclass
 class Kernel:
-    """A Legendre kernel: value, gradient, and conjugate gradient.
-
-    full_dual_domain says whether grad of the conjugate accepts every
-    y in R^n; mirror-variable extrapolation requires that.
-    """
+    """A Legendre kernel: value, gradient, and conjugate gradient."""
 
     name: str
     value: callable
     grad: callable
     conj_grad: callable
-    full_dual_domain: bool
 
 
 def energy_kernel() -> Kernel:
@@ -65,7 +61,6 @@ def energy_kernel() -> Kernel:
         value=lambda x: 0.5 * float(np.dot(x, x)),
         grad=lambda x: np.asarray(x, dtype=float),
         conj_grad=lambda y: np.asarray(y, dtype=float),
-        full_dual_domain=True,
     )
 
 
@@ -128,7 +123,7 @@ def _shannon_conj_grad(y):
 def shannon_kernel() -> Kernel:
     """phi(x) = sum x_i log x_i on the nonnegative orthant, 0 log 0 = 0."""
     return Kernel("shannon", _shannon_value, _shannon_grad,
-                  _shannon_conj_grad, full_dual_domain=True)
+                  _shannon_conj_grad)
 
 
 def _checked(fn, outside, message: str):
@@ -147,8 +142,9 @@ def _checked(fn, outside, message: str):
 def burg_kernel() -> Kernel:
     """phi(x) = -sum log x_i on the positive orthant.
 
-    The conjugate gradient -1/y is only defined for y < 0, so this kernel
-    cannot back mirror-variable extrapolation.
+    The conjugate gradient -1/y is only defined for y < 0; the guarded
+    driver rejects an extrapolated mirror point outside that domain and
+    takes the plain step.
     """
     return Kernel(
         "burg",
@@ -157,8 +153,7 @@ def burg_kernel() -> Kernel:
         _checked(lambda x: -1.0 / x, lambda x: x <= 0,
                  "burg gradient needs x > 0"),
         _checked(lambda y: -1.0 / y, lambda y: y >= 0,
-                 "burg conjugate gradient needs y < 0"),
-        full_dual_domain=False)
+                 "burg conjugate gradient needs y < 0"))
 
 
 def fermi_dirac_kernel() -> Kernel:
@@ -177,7 +172,7 @@ def fermi_dirac_kernel() -> Kernel:
     def conj_grad(y):
         return np.clip(expit(np.asarray(y, dtype=float)), lo, hi)
 
-    return Kernel("fermi_dirac", value, grad, conj_grad, full_dual_domain=True)
+    return Kernel("fermi_dirac", value, grad, conj_grad)
 
 
 def hellinger_kernel() -> Kernel:
@@ -197,7 +192,7 @@ def hellinger_kernel() -> Kernel:
         y = np.asarray(y, dtype=float)
         return np.clip(y / np.hypot(1.0, y), -lim, lim)
 
-    return Kernel("hellinger", value, grad, conj_grad, full_dual_domain=True)
+    return Kernel("hellinger", value, grad, conj_grad)
 
 
 def _cubic_root(s: float, alpha: float) -> float:
@@ -246,7 +241,7 @@ def polynomial_kernel(alpha: float = 0.0) -> Kernel:
         t = _cubic_root(s, alpha)
         return y * (t / s)
 
-    return Kernel("polynomial", value, grad, conj_grad, full_dual_domain=True)
+    return Kernel("polynomial", value, grad, conj_grad)
 
 
 def bregman_distance(kernel: Kernel, x, y) -> float:
@@ -383,12 +378,15 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
                        keep_iterates: bool = False) -> SolveReport:
     """Guarded mirror-variable extrapolation for Bregman proximal gradient.
 
-    Starts from a dual point y0 (any point of R^n for the supported
-    kernels), recovering x_0 through the conjugate gradient and proximal
-    maps. Extrapolated candidates are accepted only when they pass the
-    surrogate descent test against the plain step taken from the current
-    iterate; rejected rounds fall back to that plain step. Candidates whose
-    objective is not finite fail the test and are rejected the same way.
+    Starts from a dual point y0 in the conjugate gradient's domain (R^n,
+    or y0 < 0 for Burg's kernel, else DomainError before any gradient),
+    recovering x_0 through the conjugate gradient and proximal maps.
+    Extrapolated candidates are accepted only when they pass the surrogate
+    descent test against the plain step taken from the current iterate;
+    rejected rounds fall back to that plain step. Candidates whose
+    objective is not finite fail the test and are rejected the same way,
+    and so is a mirror point the conjugate gradient or the proximal map
+    refuses with DomainError, with no call to f or the guard.
     f is assumed convex, as in the paper: a candidate x_c whose lower bound
     f(x) + <grad f(x), x_c - x> already fails the test is rejected without
     evaluating f. For a nonconvex f that can only turn an acceptance into
@@ -411,11 +409,6 @@ def run_guarded_aa_bpg(problem: BregmanProblem, y0,
     if aa_config is None:
         aa_config = AAConfig(m=5)
     kern = problem.kernel
-    if not kern.full_dual_domain:
-        raise ValueError(
-            "kernel %r does not cover the whole mirror space; "
-            "extrapolated mirror points would leave its conjugate domain"
-            % kern.name)
     mirror, to_primal, settled = _geometry(kern, problem.h)
     mirror = _IdentityMemo(mirror)
     kern = replace(kern, value=_IdentityMemo(kern.value), grad=mirror)

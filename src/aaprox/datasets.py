@@ -17,6 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
+from .problems import _canonical
+
 __all__ = [
     "DatasetMatrix",
     "generate_kl_instance",
@@ -291,10 +293,7 @@ def write_libsvm(data: DatasetMatrix, path) -> None:
     parse_libsvm reads every file written; the caller's matrix is left as
     it is. Each block of rows is formatted by one % call and one write.
     """
-    A = sparse.csr_matrix(data.A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()  # also sorts the indices
+    A = _canonical(sparse.csr_matrix(data.A))
     labels = np.asarray(data.b)
     if labels.shape != (A.shape[0],):
         raise ValueError("%d rows need %d labels, got shape %s"

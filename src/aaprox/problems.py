@@ -89,6 +89,17 @@ def _require_finite(name: str, a) -> None:
         raise ValueError("%s must hold only finite values" % name)
 
 
+def _canonical(A):
+    """A, or a copy with duplicates summed and indices sorted where A is
+    sparse and not in canonical format. scipy puts such a matrix into that
+    format in place on count_nonzero or a comparison; code that reads A
+    through this leaves the caller's A as given."""
+    if sparse.issparse(A) and not getattr(A, "has_canonical_format", True):
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
 def _with_ridge(value: float, mu: float, x) -> float:
     """value + mu ||x||^2, with no work at mu = 0."""
     return value + mu * float(x.dot(x)) if mu else value
@@ -163,6 +174,7 @@ class LogisticLoss:
 
     def __init__(self, A, y, mu: float = 0.0, smoothness: float | None = None):
         _require_finite("A", A)
+        A = _canonical(A)
         y = np.asarray(y, dtype=float)
         labels = np.unique(y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -234,7 +246,7 @@ class LeastSquaresLoss:
             raise ValueError("mu must be nonnegative, got %r" % (mu,))
         _require_finite("A", A)
         _require_finite("b", b)
-        self.A = A
+        self.A = A = _canonical(A)
         self._AT = A.T
         self.b = np.asarray(b, dtype=float)
         self.mu = float(mu)
@@ -301,6 +313,7 @@ class KlLoss:
     def __init__(self, A, b):
         _require_finite("A", A)
         _require_finite("b", b)
+        A = _canonical(A)
         b = np.asarray(b, dtype=float)
         if np.any(b <= 0):
             raise ValueError("b must be positive")
@@ -368,8 +381,10 @@ def operator_norm_sq(A) -> float:
     Lanczos (ARPACK) on the normal operator of A's smaller side, started
     from a fixed vector, so the same A always gives the same float.
     ArpackNoConvergence propagates. Its products go through A and A^T, a
-    view for a real A, so A is not copied.
+    view for a real A, so A is not copied unless it is sparse and not in
+    canonical format (_canonical).
     """
+    A = _canonical(A)
     # ARPACK takes neither a zero operator nor one of size 1
     if not (A.count_nonzero() if sparse.issparse(A) else np.any(A)):
         return 0.0

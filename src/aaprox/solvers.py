@@ -169,13 +169,19 @@ def _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma) -> bool:
                                         gamma)
 
 
-def _candidate_value(f, guard, x_test, f_curr, grad, x_plain, x,
-                     gamma) -> float | None:
-    """The f_test the guard judges x_test by, _value_or_inf(f, x_test), or
-    None where _bound_rejects has already decided the rejection."""
-    if _bound_rejects(guard, f_curr, grad, x_test, x_plain, x, gamma):
+def _candidate(f, guard, to_primal, y_c, f_curr, grad, x_plain, x, gamma):
+    """(x_c, f_c) where the guard accepts x_c = to_primal(y_c, gamma) at
+    f_c = _value_or_inf(f, x_c), else None. A y_c that to_primal refuses
+    with DomainError costs no f or guard call; an x_c that _bound_rejects
+    decides costs no f call."""
+    try:
+        x_c = to_primal(y_c, gamma)
+    except DomainError:
         return None
-    return _value_or_inf(f, x_test)
+    if _bound_rejects(guard, f_curr, grad, x_c, x_plain, x, gamma):
+        return None
+    f_c = _value_or_inf(f, x_c)
+    return (x_c, f_c) if guard(f_c, f_curr, grad, x_plain, x, gamma) else None
 
 
 def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
@@ -197,15 +203,17 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     fallback needs anyway); only if x_plain passes the same guard, so that
     the segment from g to y_ext brackets the guard, is the halfway point
     to_primal(g + (y_ext - g) / 2, gamma) tested, and taken as a "damped"
-    step when it passes. The window is kept across rejections. f is
-    assumed convex: before f is evaluated at either candidate, the guard is
-    asked about its lower bound f(x) + <grad f(x), x_c - x>
-    (_bound_rejects), and a candidate whose bound is rejected is rejected
-    without a call to f or a second guard call. For a nonconvex f that can
-    only turn an acceptance into a fallback, the safe step. A candidate that
-    is not finite, or whose f raises DomainError, has f_test = inf;
-    finiteness is one dot x^T x (_finite), and each entry is tested only
-    where that dot is not finite.
+    step when it passes. The window is kept across rejections. Both
+    candidates are judged by _candidate: one whose to_primal raises
+    DomainError is rejected with no call to f or the guard. f is assumed
+    convex: before f is evaluated at a candidate, the guard is asked about
+    its lower bound f(x) + <grad f(x), x_c - x> (_bound_rejects), and a
+    candidate whose bound is rejected is rejected without a call to f or a
+    second guard call. For a nonconvex f that can only turn an acceptance
+    into a fallback, the safe step. A candidate that is not finite, or
+    whose f raises DomainError, has f_test = inf; finiteness is one dot
+    x^T x (_finite), and each entry is tested only where that dot is not
+    finite.
     A row records f(x) + h(x) at its x, which is always a to_primal output;
     where h's kind is in PROJECTION_KINDS, a finite x lies in h's set, so
     the row records f(x) alone and h is never called.
@@ -263,12 +271,10 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                 y, x, kind = y_ext, to_primal(y_ext, gamma), "AA"
             else:
                 x_plain = to_primal(g, gamma)
-                x_test = to_primal(y_ext, gamma)
-                f_test = _candidate_value(f, guard, x_test, f_curr, grad,
-                                          x_plain, x, gamma)
-                if f_test is not None and guard(f_test, f_curr, grad,
-                                                x_plain, x, gamma):
-                    x, y, f_next, kind = x_test, y_ext, f_test, "AA"
+                taken = _candidate(f, guard, to_primal, y_ext, f_curr, grad,
+                                   x_plain, x, gamma)
+                if taken is not None:
+                    (x, f_next), y, kind = taken, y_ext, "AA"
                 else:
                     x_next, y, kind = x_plain, g, "fallback"
                     if bracketed and _finite(x_plain):
@@ -276,14 +282,12 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
                         f_next = f.value(x_plain)
                         if guard(f_next, f_curr, grad, x_plain, x, gamma):
                             y_half = g + 0.5 * (y_ext - g)
-                            x_half = to_primal(y_half, gamma)
-                            f_half = _candidate_value(
-                                f, guard, x_half, f_curr, grad, x_plain, x,
-                                gamma)
-                            if f_half is not None and guard(
-                                    f_half, f_curr, grad, x_plain, x, gamma):
-                                x_next, y, f_next, kind = (
-                                    x_half, y_half, f_half, "damped")
+                            taken = _candidate(f, guard, to_primal, y_half,
+                                               f_curr, grad, x_plain, x,
+                                               gamma)
+                            if taken is not None:
+                                (x_next, f_next), y, kind = (
+                                    taken, y_half, "damped")
                     x = x_next
             if _momentum:
                 rn = _norm(x - x_prev) / gamma

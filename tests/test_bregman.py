@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.optimize import minimize
 
 from aaprox import bregman
 from aaprox.anderson import AAConfig
@@ -91,12 +92,6 @@ def test_distance_nonnegative_and_zero_at_equal_points(kernel):
         assert bregman_distance(kernel, x, y) >= -1e-13
     x = sample(rng, 4)
     assert abs(bregman_distance(kernel, x, x)) <= 1e-15
-
-
-def test_only_burg_lacks_the_full_dual_domain():
-    flags = {k.name: k.full_dual_domain for k in ALL_KERNELS}
-    assert flags.pop("burg") is False
-    assert all(flags.values())
 
 
 class TestKernelDomains:
@@ -463,11 +458,28 @@ class TestRunBpg:
 
 
 class TestRunGuardedAaBpg:
-    def test_rejects_kernels_without_full_dual_domain(self):
-        prob = kl_problem(seed=14)
-        prob = BregmanProblem(burg_kernel(), prob.f, prob.h, prob.gamma, prob.n)
-        with pytest.raises(ValueError):
+    def test_a_start_outside_the_conjugate_domain_raises_first(self):
+        # Burg's conjugate gradient -1/y needs y < 0, so y0 = 0 is refused
+        # by the map back to x, before any gradient of f is taken
+        base = kl_problem(seed=14)
+        calls = []
+
+        class Loss:
+            smoothness = base.f.smoothness
+
+            def value(self, x):
+                calls.append("value")
+                return base.f.value(x)
+
+            def grad(self, x):
+                calls.append("grad")
+                return base.f.grad(x)
+
+        prob = BregmanProblem(burg_kernel(), Loss(), base.h, base.gamma,
+                              base.n)
+        with pytest.raises(DomainError):
             run_guarded_aa_bpg(prob, np.zeros(prob.n), AAConfig(m=3))
+        assert calls == []
 
     def test_default_config_is_depth_five(self):
         prob = kl_problem(seed=15)
@@ -595,8 +607,7 @@ class TestRunGuardedAaBpg:
                 return base.f.grad(x)
 
         kernel = Kernel("shannon", counted("value", shannon.value),
-                        counted("grad", shannon.grad), shannon.conj_grad,
-                        full_dual_domain=True)
+                        counted("grad", shannon.grad), shannon.conj_grad)
         prob = BregmanProblem(kernel, RowLoss(), base.h, base.gamma, base.n)
         x0 = np.ones(prob.n)
         y0 = shannon.grad(x0) - prob.gamma * base.f.grad(x0)
@@ -633,6 +644,90 @@ class TestRunGuardedAaBpg:
         assert rep.trace.objective[-1] <= 1e-6
 
 
+class PoissonLoss:
+    """The Poisson likelihood sum(A x) - b . log(A x), smooth relative to
+    Burg's kernel with L = ||b||_1 (Bauschke, Bolte & Teboulle 2017)."""
+
+    def __init__(self, A, b):
+        self.A, self.b = A, b
+        self.smoothness = float(b.sum())
+
+    def value(self, x):
+        u = self.A @ x
+        if (u <= 0).any():
+            raise DomainError("A x must be positive")
+        return float(u.sum() - self.b.dot(np.log(u)))
+
+    def grad(self, x):
+        return self.A.T @ (1.0 - self.b / (self.A @ x))
+
+
+class TestBurgPoisson:
+    """Guarded extrapolation under Burg's kernel, whose conjugate gradient
+    needs y < 0: an extrapolated mirror point outside that domain is a
+    rejected candidate, not an error."""
+
+    @staticmethod
+    def instance(M=200, n=50, seed=0):
+        # A uniform on [0, 1), a half-sparse planted x in [0.5, 2], and
+        # Poisson counts b
+        rng = np.random.default_rng(seed)
+        A = rng.random((M, n))
+        x = np.zeros(n)
+        support = rng.choice(n, size=n // 2, replace=False)
+        x[support] = rng.uniform(0.5, 2.0, support.size)
+        return PoissonLoss(A, rng.poisson(A @ x).astype(float))
+
+    def test_guarded_run_rejects_out_of_domain_candidates(self):
+        f = self.instance()
+        n = f.A.shape[1]
+        burg = burg_kernel()
+        refused = 0
+
+        def conj_grad(y):
+            nonlocal refused
+            try:
+                return burg.conj_grad(y)
+            except DomainError:
+                refused += 1
+                raise
+
+        kernel = Kernel("burg", burg.value, burg.grad, conj_grad)
+        prob = BregmanProblem(kernel, f, zero_term(), 1.0 / f.smoothness, n)
+        x0 = np.ones(n)
+        y0 = kernel.grad(x0)
+        rows = 2000
+        guarded = run_guarded_aa_bpg(prob, y0, AAConfig(m=5), max_iters=rows)
+        plain = run_bpg(prob, x0, max_iters=rows)
+        assert len(guarded.trace) == rows
+        assert refused > 0
+        assert "AA" in guarded.trace.step_kind
+        objective = guarded.trace.objective
+        assert all(b <= a for a, b in zip(objective, objective[1:]))
+
+        ref = minimize(lambda x: (f.value(x), f.grad(x)), x0, jac=True,
+                       method="L-BFGS-B", bounds=[(1e-12, None)] * n,
+                       options={"maxiter": 100000, "maxfun": 100000,
+                                "ftol": 1e-16, "gtol": 1e-12})
+        scale = max(1.0, abs(ref.fun))
+        gap = (objective[-1] - ref.fun) / scale
+        plain_gap = (plain.trace.objective[-1] - ref.fun) / scale
+        assert 0 < gap <= plain_gap / 10
+
+    def test_depth_zero_is_run_bpg(self):
+        f = self.instance()
+        n = f.A.shape[1]
+        prob = BregmanProblem(burg_kernel(), f, zero_term(),
+                              1.0 / f.smoothness, n)
+        rep = run_guarded_aa_bpg(prob, -np.ones(n), AAConfig(m=0),
+                                 max_iters=300)
+        ref = run_bpg(prob, np.ones(n), max_iters=300)
+        assert rep.trace.objective == ref.trace.objective
+        assert rep.trace.residual == ref.trace.residual
+        assert rep.trace.step_kind == ref.trace.step_kind
+        assert np.array_equal(rep.x, ref.x)
+
+
 class TestInteriorShannonPath:
     """With shannon_kernel's own maps and h = 0, the loop maps x and y
     through the unchecked _shannon_mirror and _shannon_primal; a kernel
@@ -642,7 +737,7 @@ class TestInteriorShannonPath:
     def wrapped_shannon():
         k = shannon_kernel()
         return Kernel("shannon", lambda x: k.value(x), lambda x: k.grad(x),
-                      lambda y: k.conj_grad(y), full_dual_domain=True)
+                      lambda y: k.conj_grad(y))
 
     def test_only_the_packages_own_maps_with_h_zero_run_unchecked(self):
         def mirror(kernel, h):

@@ -698,9 +698,13 @@ def test_operator_norm_sq_equals_the_composed_normal_operator(kind):
     # the same float as Lanczos on scipy's op.H @ op (or op @ op.H), whose
     # adjoint copies a sparse A
     A = normal_operator_matrix(kind)
-    # first: its zero test, count_nonzero, puts a COO matrix's entries in
-    # canonical order in place, and the products below add them in order
     got = operator_norm_sq(A)
+    # a sparse A not in canonical format, as sparse.random's COO is, is
+    # read through a canonical copy, whose entries the products below add
+    # in the same order
+    if sparse.issparse(A) and not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     op = aslinearoperator(A)
     normal = op.H @ op if A.shape[1] <= A.shape[0] else op @ op.H
     side = normal.shape[0]
@@ -711,6 +715,88 @@ def test_operator_norm_sq_equals_the_composed_normal_operator(kind):
         expected = float(eigsh(normal, k=1, which="LA", v0=v0,
                                return_eigenvectors=False)[0])
     assert got == expected
+
+
+def coo_with_a_duplicate():
+    # entry (3, 0) is stored twice
+    return sparse.coo_matrix(
+        (np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+         (np.array([0, 0, 1, 2, 3, 3]), np.array([0, 1, 1, 2, 0, 0]))),
+        shape=(4, 3))
+
+
+def unsorted_csr():
+    # row 0 stores column 1 before column 0
+    return sparse.csr_matrix(
+        (np.array([2.0, 1.0, 3.0, 4.0, 5.0]), np.array([1, 0, 1, 2, 0]),
+         np.array([0, 2, 3, 4, 5])), shape=(4, 3))
+
+
+NON_CANONICAL = {"coo_duplicate": coo_with_a_duplicate,
+                 "csr_unsorted": unsorted_csr}
+SPARSE_LOSSES = {
+    "least_squares": lambda A: least_squares_loss(
+        A, np.array([1.0, -2.0, 0.5, 3.0])),
+    "logistic": lambda A: logistic_loss(A, np.array([1.0, -1.0, 1.0, -1.0])),
+    "kl": lambda A: kl_loss(A, np.array([1.0, 2.0, 3.0, 4.0])),
+}
+
+
+class TestNonCanonicalSparse:
+    """A sparse A that is not in canonical format is read through a
+    canonical copy; the caller's A keeps its entries, order and nnz."""
+
+    @staticmethod
+    def stored(A):
+        arrays = ((A.data, A.row, A.col) if A.format == "coo"
+                  else (A.data, A.indices, A.indptr))
+        return A.nnz, [a.copy() for a in arrays]
+
+    def assert_as_given(self, A, before):
+        nnz, arrays = self.stored(A)
+        assert nnz == before[0]
+        for old, new in zip(before[1], arrays):
+            assert np.array_equal(old, new)
+
+    @staticmethod
+    def canonical(make):
+        A = make()
+        A.sum_duplicates()
+        return A
+
+    @pytest.mark.parametrize("make", list(NON_CANONICAL.values()),
+                             ids=list(NON_CANONICAL))
+    @pytest.mark.parametrize("loss", list(SPARSE_LOSSES.values()),
+                             ids=list(SPARSE_LOSSES))
+    def test_a_loss_leaves_the_callers_matrix_as_given(self, loss, make):
+        A = make()
+        before = self.stored(A)
+        f = loss(A)
+        self.assert_as_given(A, before)
+        ref = loss(self.canonical(make))
+        x = np.array([0.5, 1.0, 2.0])
+        assert f.smoothness == ref.smoothness
+        assert f.value(x) == ref.value(x)
+        assert np.array_equal(f.grad(x), ref.grad(x))
+        self.assert_as_given(A, before)
+
+    @pytest.mark.parametrize("make", list(NON_CANONICAL.values()),
+                             ids=list(NON_CANONICAL))
+    def test_operator_norm_sq_leaves_the_callers_matrix_as_given(self,
+                                                                  make):
+        A = make()
+        before = self.stored(A)
+        got = operator_norm_sq(A)
+        self.assert_as_given(A, before)
+        assert got == operator_norm_sq(self.canonical(make))
+
+    @pytest.mark.parametrize("loss", list(SPARSE_LOSSES.values()),
+                             ids=list(SPARSE_LOSSES))
+    def test_a_canonical_matrix_is_used_as_given(self, loss):
+        A = self.canonical(unsorted_csr)
+        assert A.has_canonical_format
+        f = loss(A)
+        assert (f._live_A if isinstance(f, KlLoss) else f.A) is A
 
 
 class TestProximalMaps:

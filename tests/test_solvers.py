@@ -659,6 +659,68 @@ class TestDampedRetry:
             assert seen == kinds
         assert rejected == {True, False}
 
+    def test_an_out_of_domain_candidate_costs_no_value_or_guard_call(
+            self, monkeypatch):
+        # the term's prox refuses every other extrapolated candidate with
+        # DomainError. Such a row costs the plain point's value and guard
+        # call, and, where the plain point passes, the halfway try's probe
+        # and, when the probe leaves it open, its value and guard call
+        base, x0, gamma, cfg = nonneg_lasso_case()
+        counting = CountingLoss(base.f)
+        latest = {"g": None, "y_ext": None}
+        offers, refused, guards, probes = [0], [], [], []
+        push, extrapolate = AndersonEngine.push, AndersonEngine.extrapolate
+        check, probe = solvers.descent_check, solvers._bound_rejects
+
+        def row():
+            return len(counting.values_per_row) - 1
+
+        def pushed(engine, g, y):
+            latest["g"] = g
+            return push(engine, g, y)
+
+        def proposed(engine):
+            out = extrapolate(engine)
+            latest["y_ext"] = out[0]
+            return out
+
+        def prox(y, gamma):
+            if y is latest["y_ext"] and y is not latest["g"]:
+                offers[0] += 1
+                if offers[0] % 2:
+                    refused.append(row())
+                    raise DomainError("outside the term's domain")
+            return base.h.prox(y, gamma)
+
+        def guard(*args):
+            guards.append(row())
+            return check(*args)
+
+        def probed(*args):
+            hit = probe(*args)
+            probes.append((row(), hit))
+            return hit
+
+        monkeypatch.setattr(AndersonEngine, "push", pushed)
+        monkeypatch.setattr(AndersonEngine, "extrapolate", proposed)
+        monkeypatch.setattr(solvers, "descent_check", guard)
+        monkeypatch.setattr(solvers, "_bound_rejects", probed)
+        h = NonsmoothTerm(base.h.value, prox)
+        rep = run_guarded_aa_pga(CompositeProblem(counting, h, base.n), x0,
+                                 gamma, cfg, max_iters=150,
+                                 keep_iterates=True)
+        assert len(rep.trace) == 150
+        kinds = rep.trace.step_kind
+        for k in refused:
+            tried = [hit for r, hit in probes if r == k]  # the halfway try
+            assert len(tried) == plain_passes(base, rep, k)
+            assert counting.values_per_row[k] == 1 + tried.count(False)
+            assert guards.count(k) == 1 + len(tried) + tried.count(False)
+            assert kinds[k] in ("fallback", "damped")
+            if kinds[k] == "damped":
+                assert tried == [False]
+        assert {kinds[k] for k in refused} == {"fallback", "damped"}
+
     @staticmethod
     def assert_gradient_reuses_the_product(case, products):
         # a failed halfway try evaluates f last at the halfway point, and
