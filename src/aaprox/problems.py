@@ -2,7 +2,10 @@
 
 Losses expose value(x), grad(x) and a smoothness constant. For the
 least-squares and logistic losses the default constant is exact: the top
-squared singular value of A, scaled, plus 2 mu for the ridge term. Losses
+squared singular value of A, scaled, plus 2 mu for the ridge term. Where
+least squares forms A^T A (below), it takes that value as the top
+eigenvalue of A^T A, by Lanczos through the symmetric product its
+iterations use, and does not read A for it. Losses
 remember what they derive from their product at each of the last two
 points, keyed on the argument object, so evaluating the value at a point
 and then the gradient at the same point costs one product, even with one
@@ -218,7 +221,10 @@ class LeastSquaresLoss:
     takes the normal-matrix route: Q = A^T A, c = A^T b and b^T b are formed
     once, which holds n^2 doubles for Q, and value and gradient at x share
     one symmetric product Q x, remembered for the last two points. BLAS
-    symv takes that product from the upper triangle of Q alone:
+    symv takes that product from the upper triangle of Q alone. The default
+    smoothness constant is lambda_max(Q) / M + 2 mu, with lambda_max(Q) from
+    Lanczos through that same symv product, so it is the top eigenvalue of
+    the rounded Q the iterations apply:
 
         grad(x)  = (Q x - c) / M + 2 mu x,
         value(x) = (x^T Q x - 2 c^T x + b^T b) / (2 M) + mu ||x||^2.
@@ -233,7 +239,8 @@ class LeastSquaresLoss:
 
     Sparse A, any other matrix-like A and wide dense A (n > M) take the
     residual route: r = A x - b with A x remembered for the last two points,
-    value from ||r||^2 and gradient A^T r / M + 2 mu x.
+    value from ||r||^2 and gradient A^T r / M + 2 mu x. Their default
+    smoothness constant is operator_norm_sq(A) / M + 2 mu.
 
     The value's scalar arithmetic is done on Python floats, and the ridge
     terms mu ||x||^2 and 2 mu x are only worked out for mu > 0. A and b
@@ -251,19 +258,25 @@ class LeastSquaresLoss:
         self.b = np.asarray(b, dtype=float)
         self.mu = float(mu)
         self.M, self.n = A.shape
-        if smoothness is None:
-            smoothness = operator_norm_sq(A) / self.M + 2.0 * self.mu
-        self.smoothness = float(smoothness)
         self._product = _IdentityMemo(_product)
         self._normal = None
         if isinstance(A, np.ndarray) and self.n <= self.M:
             dense = np.asarray(A, dtype=float)
             # the product is exactly symmetric, so its transpose is the
             # same matrix in Fortran order
-            self._normal = ((dense.T @ dense).T, dense.T @ self.b,
-                            float(np.dot(self.b, self.b)))
+            Q = (dense.T @ dense).T
+            self._normal = (Q, dense.T @ self.b, float(np.dot(self.b, self.b)))
             # keyed on x alone, so Q x cannot share the memo of A x
             self._normal_product = _IdentityMemo(_symmetric_product)
+            if smoothness is None:
+                # Q is positive semidefinite, so it is zero where its
+                # diagonal is
+                top = _top_eigenvalue(lambda v: _symmetric_product(v, Q),
+                                      self.n, Q.dtype, Q.diagonal().any())
+                smoothness = top / self.M + 2.0 * self.mu
+        if smoothness is None:
+            smoothness = operator_norm_sq(A) / self.M + 2.0 * self.mu
+        self.smoothness = float(smoothness)
 
     def _resid(self, x):
         return self._product(x, self.A) - self.b
@@ -375,30 +388,48 @@ least_squares_loss = LeastSquaresLoss
 kl_loss = KlLoss
 
 
+def _top_eigenvalue(matvec, side: int, dtype, nonzero) -> float:
+    """Largest eigenvalue of the symmetric positive semidefinite operator
+    of size side x side whose product is matvec, in dtype.
+
+    Lanczos (ARPACK), started from a fixed vector, so the same operator
+    always gives the same float. ARPACK takes neither a zero operator nor
+    one of size 1: the caller says whether the operator is nonzero, a zero
+    one gives 0, and one of size 1 gives its entry. ArpackNoConvergence
+    propagates.
+    """
+    if not nonzero:
+        return 0.0
+    if side == 1:
+        return float(matvec(np.ones(1))[0])
+    op = LinearOperator((side, side), dtype=dtype, matvec=matvec)
+    v0 = np.random.default_rng(0).standard_normal(side)
+    return float(eigsh(op, k=1, which="LA", v0=v0,
+                       return_eigenvectors=False)[0])
+
+
 def operator_norm_sq(A) -> float:
     """Largest squared singular value of A.
 
-    Lanczos (ARPACK) on the normal operator of A's smaller side, started
-    from a fixed vector, so the same A always gives the same float.
-    ArpackNoConvergence propagates. Its products go through A and A^T, a
-    view for a real A, so A is not copied unless it is sparse and not in
-    canonical format (_canonical).
+    The top eigenvalue (_top_eigenvalue) of the normal operator of A's
+    smaller side. Its products go through A and A^T, a view for a real A,
+    so A is not copied unless it is sparse and not in canonical format
+    (_canonical), or holds a type narrower than float64: an array or
+    sparse A of float32 or integers is read as float64, and one of
+    complex64 as complex128, so that Lanczos runs in double precision. A
+    matrix-like with no dtype is taken to be real.
     """
     A = _canonical(A)
-    # ARPACK takes neither a zero operator nor one of size 1
-    if not (A.count_nonzero() if sparse.issparse(A) else np.any(A)):
-        return 0.0
+    dtype = np.result_type(getattr(A, "dtype", np.float64), np.float64)
+    if ((isinstance(A, np.ndarray) or sparse.issparse(A))
+            and A.dtype != dtype):
+        A = A.astype(dtype)
     side = min(A.shape)
     At = A.T.conj() if np.iscomplexobj(A) else A.T
     first, second = (A, At) if A.shape[1] <= A.shape[0] else (At, A)
-    normal = LinearOperator(  # A^T A or A A^T
-        (side, side), dtype=A.dtype,
-        matvec=lambda v: _product(_product(v, first), second))
-    if side == 1:
-        return float(normal.matvec(np.ones(1))[0])
-    v0 = np.random.default_rng(0).standard_normal(side)
-    return float(eigsh(normal, k=1, which="LA", v0=v0,
-                       return_eigenvectors=False)[0])
+    return _top_eigenvalue(  # A^T A or A A^T
+        lambda v: _product(_product(v, first), second), side, dtype,
+        A.count_nonzero() if sparse.issparse(A) else np.any(A))
 
 
 def prox_l1(y: np.ndarray, threshold: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """End-to-end acceptance checks, one test per numbered criterion, plus the
-Euclidean benchmark runs measured against optima that scipy computes.
+Euclidean and KL benchmark runs measured against optima that scipy computes.
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion; each passing test also prints the measured quantities behind it
@@ -72,7 +72,8 @@ def first_hit(objectives, f_star, tol=1e-6):
 def benchmarks():
     """The four speedup instances, each run guarded and unaccelerated once.
 
-    Shared by criteria 6 (guard re-evaluation) and 10 (speedups, runtime).
+    Shared by criteria 6 (guard re-evaluation) and 10 (speedups, runtime)
+    and by the runs against outside optima.
     """
     t0 = time.perf_counter()
     aa = AAConfig(m=5, reg_scale=1e-10)
@@ -505,6 +506,69 @@ def test_euclidean_runs_against_outside_optima(benchmarks, outside_optima):
                 (name, target, kg, kp)
             details.append("%s %.0e %d vs %s" % (name, target, kg, kp))
     print("outside optima: PASS (%s)" % "; ".join(details))
+
+
+@pytest.fixture(scope="module")
+def kl_outside_optima(benchmarks):
+    """F* of the two KL benchmark instances, computed by scipy.
+
+    L-BFGS-B with the bounds x >= 0, from the runs' start at all ones, on
+    the objective written out here. Each minimizer's projected-gradient
+    residual is checked, not scipy's message: it measured 3.8e-8 on
+    kl_small and 2.9e-7 on kl_hard.
+    """
+    optima = {}
+    for name in ("kl_small", "kl_hard"):
+        f = benchmarks["instances"][name]["problem"].f
+        A, b = f.A, f.b
+
+        def kl(x):
+            u = A @ x
+            ratio = np.log(u / b)
+            return float(np.sum(u * ratio - u + b)), A.T @ ratio
+
+        x = minimize(kl, np.ones(f.n), jac=True, method="L-BFGS-B",
+                     bounds=[(0.0, None)] * f.n,
+                     options=dict(maxiter=20000, maxcor=30, ftol=0.0,
+                                  gtol=1e-14)).x
+        optima[name], grad = kl(x)
+        assert pg_residual(x, grad, 0.0, np.inf) <= 1e-6, name
+    return optima
+
+
+# (relative target, rows the guarded run may take to reach it) against the
+# outside F*, over the measured rows plus about 10%: kl_hard 589 and 4732.
+# Guarded kl_small reaches 1e-6 at row 4956 of its 6000, but that count
+# hangs on the last bit of its start, as criterion 10's does, so its budget
+# is the run's own length.
+KL_OUTSIDE_TARGETS = {"kl_small": ((1e-6, 6000),),
+                      "kl_hard": ((1e-6, 650), (1e-8, 5200))}
+
+
+def test_kl_runs_against_outside_optima(benchmarks, kl_outside_optima):
+    details = []
+    for name, targets in KL_OUTSIDE_TARGETS.items():
+        inst = benchmarks["instances"][name]
+        f_star = kl_outside_optima[name]
+        gaps = {}
+        for run in ("guarded", "plain"):
+            objs = np.array(inst[run].trace.objective)
+            gaps[run] = (objs - f_star) / max(1.0, abs(f_star))
+            # no iterate is better than the optimum, beyond rounding
+            assert gaps[run].min() >= -1e-12, (name, run, gaps[run].min())
+        for target, budget in targets:
+            kg = first_hit(gaps["guarded"], 0.0, target)
+            kp = first_hit(gaps["plain"], 0.0, target)
+            assert kg is not None and kg <= budget, (name, target, kg)
+            if kp is None:
+                # plain kl_hard is still 2.8e-6 above F* after its 14000
+                # rows; plain kl_small reaches 1e-6 (row 32987 of 40000)
+                assert name == "kl_hard", (name, target)
+                kp = ">%d" % inst["plain_budget"]
+            else:
+                assert kg <= kp, (name, target, kg, kp)
+            details.append("%s %.0e %d vs %s" % (name, target, kg, kp))
+    print("KL outside optima: PASS (%s)" % "; ".join(details))
 
 
 def test_criterion_11_qr_economy(monkeypatch):

@@ -319,10 +319,12 @@ def non_finite_data_cases():
 @pytest.mark.parametrize("make, name, A, b", non_finite_data_cases())
 def test_non_finite_data_is_rejected_before_any_work(make, name, A, b,
                                                      capfd, monkeypatch):
-    def no_norm(A):
-        raise AssertionError("operator_norm_sq ran on non-finite data")
+    def no_lanczos(*args):
+        raise AssertionError("Lanczos ran on non-finite data")
 
-    monkeypatch.setattr("aaprox.problems.operator_norm_sq", no_norm)
+    # operator_norm_sq, and the normal route's Lanczos on A^T A
+    monkeypatch.setattr("aaprox.problems.operator_norm_sq", no_lanczos)
+    monkeypatch.setattr("aaprox.problems._top_eigenvalue", no_lanczos)
     with pytest.raises(ValueError, match="%s must hold only finite values"
                        % name):
         make(A, b)
@@ -360,14 +362,49 @@ class TestLeastSquaresLoss:
         x = rng.standard_normal(4)
         assert_allclose(f.grad(x), central_difference(f.value, x), atol=1e-7)
 
-    def test_default_smoothness(self):
-        # the largest Hessian eigenvalue, ridge term included
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((9, 3))
-        for mu in (0.0, 0.25):
-            f = least_squares_loss(A, np.zeros(9), mu=mu)
-            top = np.linalg.eigvalsh(A.T @ A / 9 + 2 * mu * np.eye(3))[-1]
-            assert_allclose(f.smoothness, top, rtol=1e-12)
+    @pytest.mark.parametrize("kind", ["tall", "square", "rank_deficient",
+                                      "one_column", "float32", "int"])
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_default_smoothness(self, kind, mu, monkeypatch):
+        # the largest Hessian eigenvalue, ridge term included; a dense A
+        # with n <= M takes it from the A^T A it forms, not from Lanczos
+        # on A
+        def no_norm(A):
+            raise AssertionError("operator_norm_sq ran on the normal route")
+
+        monkeypatch.setattr("aaprox.problems.operator_norm_sq", no_norm)
+        rng = np.random.default_rng(30)
+        A = {"tall": lambda: rng.standard_normal((40, 12)),
+             "square": lambda: rng.standard_normal((15, 15)),
+             "rank_deficient": lambda: (rng.standard_normal((40, 3))
+                                        @ rng.standard_normal((3, 12))),
+             "one_column": lambda: rng.standard_normal((40, 1)),
+             "float32": lambda: rng.standard_normal((40, 12)).astype(
+                 np.float32),
+             "int": lambda: rng.integers(-5, 6, size=(40, 12))}[kind]()
+        M, n = A.shape
+        f = least_squares_loss(A, np.zeros(M), mu=mu)
+        dense = A.astype(float)
+        top = np.linalg.eigvalsh(dense.T @ dense / M + 2 * mu * np.eye(n))[-1]
+        assert_allclose(f.smoothness, top, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_zero_matrix_smoothness_is_the_ridge_term(self, mu):
+        for A in (np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((3, 6)),
+                  sparse.csr_matrix((6, 3))):
+            f = least_squares_loss(A, np.ones(A.shape[0]), mu=mu)
+            assert f.smoothness == 2.0 * mu
+
+    @pytest.mark.parametrize("kind", ["csr", "wide", "matrix_like"])
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_residual_route_smoothness_comes_from_operator_norm_sq(self, kind,
+                                                                    mu):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((12, 40) if kind == "wide" else (40, 12))
+        mat = {"csr": sparse.csr_matrix, "wide": np.asarray,
+               "matrix_like": CountingMatrix}[kind](A)
+        f = least_squares_loss(mat, np.zeros(A.shape[0]), mu=mu)
+        assert f.smoothness == operator_norm_sq(mat) / A.shape[0] + 2.0 * mu
 
     def test_normal_matrix_route_matches_the_residual_formula(self):
         rng = np.random.default_rng(5)
@@ -651,6 +688,27 @@ def test_operator_norm_sq_dense_and_csr(shape):
     assert_allclose(dense, top_squared_singular_value(A), rtol=1e-12)
     assert_allclose(operator_norm_sq(sparse.csr_matrix(A)), dense,
                     rtol=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+@pytest.mark.parametrize("shape", [(60, 15), (15, 60)])
+def test_operator_norm_sq_reads_narrow_types_in_double_precision(fmt, shape):
+    # in single precision Lanczos came out about 3e-7 low, which put the
+    # step 1/L above the one the guarantee allows
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal(shape)
+    single = A.astype(np.float32)
+    for narrow in (single, np.rint(10 * A).astype(int)):
+        mat = narrow if fmt == "dense" else sparse.csr_matrix(narrow)
+        assert operator_norm_sq(mat) == operator_norm_sq(mat.astype(float))
+    assert_allclose(operator_norm_sq(single),
+                    top_squared_singular_value(single.astype(float)),
+                    rtol=1e-12)
+    if fmt == "dense":
+        # complex input stays complex
+        narrow = (A + 1j * A[::-1]).astype(np.complex64)
+        assert (operator_norm_sq(narrow)
+                == operator_norm_sq(narrow.astype(np.complex128)))
 
 
 def test_operator_norm_sq_is_repeatable():
