@@ -21,7 +21,7 @@ from scipy.special import expit
 from .anderson import AAConfig, AndersonEngine
 from .problems import (CompositeProblem, DomainError, NonsmoothTerm,
                        UnsupportedProxError, _euclidean_prox, _IdentityMemo,
-                       _some_at_most)
+                       _some_at_most, _weight)
 from .solvers import SolveReport, _proximal_gradient, _step_size
 
 __all__ = [
@@ -65,10 +65,7 @@ def energy_kernel() -> Kernel:
 
 
 def _xlogx(x):
-    """x log x elementwise with 0 log 0 = 0; the zero mask is only built
-    where some entry is not positive."""
-    if (x > 0).all():
-        return x * np.log(x)
+    """x log x elementwise with 0 log 0 = 0."""
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
@@ -108,13 +105,6 @@ def _shannon_value(x):
     return float(_xlogx(x).sum())
 
 
-def _shannon_grad(x):
-    x = np.asarray(x, dtype=float)
-    if _some_at_most(x, 0.0):
-        raise DomainError("shannon gradient needs x > 0")
-    return _shannon_mirror(x)
-
-
 def _shannon_conj_grad(y):
     with np.errstate(over="ignore", under="ignore"):
         return _shannon_primal(np.asarray(y, dtype=float))
@@ -137,6 +127,11 @@ def _checked(fn, outside, message: str):
         return fn(x)
 
     return checked
+
+
+# one object, so _geometry can tell shannon_kernel's own map by identity
+_shannon_grad = _checked(_shannon_mirror, lambda x: x <= 0,
+                         "shannon gradient needs x > 0")
 
 
 def burg_kernel() -> Kernel:
@@ -221,9 +216,7 @@ def polynomial_kernel(alpha: float = 0.0) -> Kernel:
     The conjugate gradient rescales y onto the sphere of radius t where
     t solves t^3 + alpha t = ||y||.
     """
-    if not 0 <= alpha < np.inf:  # nan too
-        raise ValueError("alpha must be nonnegative and finite, got %r"
-                         % (alpha,))
+    _weight("alpha", alpha)
 
     def value(x):
         nsq = float(np.dot(x, x))

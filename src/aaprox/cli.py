@@ -243,22 +243,23 @@ def _run_method(method: str, problem, gamma: float, x0,
     return run_guarded_aa_bpg(problem, problem.kernel.grad(x0), aa, **kwargs)
 
 
-def _write_trace(path, report, best_objective: float) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write header and rows to a CSV file, each float with 17 significant
+    digits, so that it reads back as the same double."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "subopt", "residual",
-                         "step_kind", "elapsed_s"])
-        trace = report.trace
-        for i in range(len(trace)):
-            obj = trace.objective[i]
-            writer.writerow([
-                i + 1,
-                format(obj, ".17g"),
-                format(obj - best_objective, ".17g"),
-                format(trace.residual[i], ".17g"),
-                trace.step_kind[i],
-                format(trace.elapsed[i], ".17g"),
-            ])
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def _write_trace(path, report, best_objective: float) -> None:
+    trace = report.trace
+    _write_csv(path, ["iter", "objective", "subopt", "residual", "step_kind",
+                      "elapsed_s"],
+               ([i + 1, obj, obj - best_objective, trace.residual[i],
+                 trace.step_kind[i], trace.elapsed[i]]
+                for i, obj in enumerate(trace.objective)))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -361,12 +362,9 @@ def _cmd_counterexample(args) -> int:
     report = run_counterexample(args.x0, args.cycles)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "x", "objective"])
-        for k, xk in enumerate(report.iterates):
-            writer.writerow([k, format(xk, ".17g"),
-                             format(float(value_f(xk)), ".17g")])
+    _write_csv(path, ["iter", "x", "objective"],
+               ([k, xk, float(value_f(xk))]
+                for k, xk in enumerate(report.iterates)))
     print("wrote %d iterates to %s (max closed-form gap %.3g)"
           % (len(report.iterates), path, report.max_closed_form_gap))
     return 0

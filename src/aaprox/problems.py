@@ -63,8 +63,17 @@ class _IdentityMemo:
         return val
 
 
+def _vector(v):
+    """A product A @ x, or a row or column sum of A, as a 1-D array: itself
+    where it already is one, as an ndarray or scipy sparse A gives; a
+    matrix-like A's 2-D result is flattened."""
+    if type(v) is np.ndarray and v.ndim == 1:
+        return v
+    return np.asarray(v).ravel()
+
+
 def _product(x, A):
-    return np.asarray(A @ x).ravel()
+    return _vector(A @ x)
 
 
 def _symmetric_product(x, Q):
@@ -103,6 +112,27 @@ def _canonical(A):
     return A
 
 
+def _data(A, target, name: str):
+    """(A through _canonical, target as floats); ValueError unless both are
+    finite and target has exactly one entry per row of A."""
+    _require_finite("A", A)
+    _require_finite(name, target)
+    A = _canonical(A)
+    target = np.asarray(target, dtype=float)
+    if target.shape != (A.shape[0],):
+        raise ValueError("%s must have shape (%d,), one entry per row of A, "
+                         "got %r" % (name, A.shape[0], target.shape))
+    return A, target
+
+
+def _weight(name: str, value) -> float:
+    """value as a float; ValueError unless it is nonnegative and finite."""
+    if not 0 <= value < np.inf:  # nan too
+        raise ValueError("%s must be nonnegative and finite, got %r"
+                         % (name, value))
+    return float(value)
+
+
 def _with_ridge(value: float, mu: float, x) -> float:
     """value + mu ||x||^2, with no work at mu = 0."""
     return value + mu * float(x.dot(x)) if mu else value
@@ -119,7 +149,7 @@ def _logistic_point(x, A, neg_y):
     """(t, exp(-|t|)) with margins t = -y * (A x), the pair LogisticLoss's
     value and gradient share, from neg_y = -y. A sign flip is exact, so
     (A x) * (-y) is the float -(y * (A x)) and copysign(t, -1) is -|t|."""
-    t = np.asarray(A @ x).ravel() * neg_y
+    t = _vector(A @ x) * neg_y
     e = np.copysign(t, -1.0)
     np.exp(e, out=e)
     return t, e
@@ -132,15 +162,6 @@ def _some_at_most(x, bound: float) -> bool:
     wrapper."""
     return (not (x.size and np.minimum.reduce(x, None) > bound)
             and bool((x <= bound).any()))
-
-
-def _vector(v):
-    """A product A @ x as a 1-D array: itself where it already is one, as
-    an ndarray or scipy sparse A gives; a matrix-like A's 2-D result is
-    flattened."""
-    if type(v) is np.ndarray and v.ndim == 1:
-        return v
-    return np.asarray(v).ravel()
 
 
 def _kl_point(x, A, b):
@@ -172,23 +193,19 @@ class LogisticLoss:
     scipy's expit flushes the subnormal s of t in (-745, -709) to zero.
 
     The ridge terms mu ||x||^2 and 2 mu x are only worked out for mu > 0.
-    A must hold only finite values.
+    A and y must be finite with one label per row of A, and mu nonnegative
+    and finite; the constructor raises ValueError otherwise.
     """
 
     def __init__(self, A, y, mu: float = 0.0, smoothness: float | None = None):
-        _require_finite("A", A)
-        A = _canonical(A)
-        y = np.asarray(y, dtype=float)
-        labels = np.unique(y)
+        self.mu = _weight("mu", mu)
+        A, self.y = _data(A, y, "y")
+        labels = np.unique(self.y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1, got %r" % (labels,))
-        if not mu >= 0:  # nan too
-            raise ValueError("mu must be nonnegative, got %r" % (mu,))
         self.A = A
         self._AT = A.T  # a sparse A builds its transpose anew on each .T
-        self.y = y
-        self._neg_y = -y
-        self.mu = float(mu)
+        self._neg_y = -self.y
         self.M, self.n = A.shape
         if smoothness is None:
             smoothness = operator_norm_sq(A) / (4.0 * self.M) + 2.0 * self.mu
@@ -210,7 +227,7 @@ class LogisticLoss:
         w *= self._neg_y
         # numpy converts a Python int divisor anew on each call; the float
         # of M divides to the same floats, faster
-        g = np.asarray(self._AT @ w).ravel() / float(self.M)
+        g = _vector(self._AT @ w) / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
 
 
@@ -244,19 +261,15 @@ class LeastSquaresLoss:
 
     The value's scalar arithmetic is done on Python floats, and the ridge
     terms mu ||x||^2 and 2 mu x are only worked out for mu > 0. A and b
-    must hold only finite values; a matrix-like A that is neither an array
-    nor sparse is not read.
+    must be finite with one entry of b per row of A, and mu nonnegative and
+    finite, or the constructor raises ValueError; a matrix-like A that is
+    neither an array nor sparse is not read.
     """
 
     def __init__(self, A, b, mu: float = 0.0, smoothness: float | None = None):
-        if not mu >= 0:  # nan too
-            raise ValueError("mu must be nonnegative, got %r" % (mu,))
-        _require_finite("A", A)
-        _require_finite("b", b)
-        self.A = A = _canonical(A)
-        self._AT = A.T
-        self.b = np.asarray(b, dtype=float)
-        self.mu = float(mu)
+        self.mu = _weight("mu", mu)
+        A, self.b = _data(A, b, "b")
+        self.A, self._AT = A, A.T
         self.M, self.n = A.shape
         self._product = _IdentityMemo(_product)
         self._normal = None
@@ -299,7 +312,7 @@ class LeastSquaresLoss:
             g = self._normal_product(x, Q) - c
             g /= float(self.M)  # as in LogisticLoss.grad
         else:
-            g = np.asarray(self._AT @ self._resid(x)).ravel() / float(self.M)
+            g = _vector(self._AT @ self._resid(x)) / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
 
 
@@ -309,8 +322,9 @@ class KlLoss:
     kl(u, v) = u log(u / v) - u + v with 0 log 0 = 0, which only arises on
     rows of A that are identically zero. A zero (Ax)_i on a row that is not
     identically zero sits on the boundary where the gradient blows up and
-    raises DomainError. Requires finite A >= 0 elementwise and finite b > 0.
-    The relative smoothness constant is the largest column 1-norm of A.
+    raises DomainError. Requires finite A >= 0 elementwise and finite b > 0
+    with one entry per row of A, or the constructor raises ValueError. The
+    relative smoothness constant is the largest column 1-norm of A.
 
     The live rows, those not identically zero, are found at construction;
     each zero row contributes the constant b_i, summed once into a target
@@ -324,10 +338,7 @@ class KlLoss:
     """
 
     def __init__(self, A, b):
-        _require_finite("A", A)
-        _require_finite("b", b)
-        A = _canonical(A)
-        b = np.asarray(b, dtype=float)
+        A, b = _data(A, b, "b")
         if np.any(b <= 0):
             raise ValueError("b must be positive")
         if (A < 0).sum() > 0:
@@ -335,9 +346,8 @@ class KlLoss:
         self.A = A
         self.b = b
         self.M, self.n = A.shape
-        col_sums = np.asarray(A.sum(axis=0)).ravel()
-        self.smoothness = float(col_sums.max())
-        live = np.asarray(A.sum(axis=1)).ravel() != 0.0
+        self.smoothness = float(_vector(A.sum(axis=0)).max())
+        live = _vector(A.sum(axis=1)) != 0.0
         self._zero_row_mass = np.sum(b[~live])
         if not live.all():
             # not every sparse format can select rows; CSR can
@@ -459,9 +469,7 @@ def zero_term() -> NonsmoothTerm:
 
 
 def l1_term(lam: float) -> NonsmoothTerm:
-    if not 0 <= lam < np.inf:  # nan too
-        raise ValueError("lam must be nonnegative and finite, got %r"
-                         % (lam,))
+    _weight("lam", lam)
     return NonsmoothTerm(
         value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda y, gamma: prox_l1(y, lam * gamma),

@@ -1,5 +1,6 @@
 """Loss functions, proximal maps, and the composite container."""
 
+import re
 import warnings
 
 import numpy as np
@@ -342,6 +343,44 @@ def test_finite_data_of_every_storage_is_accepted():
                 CountingMatrix(A)):
         least_squares_loss(mat, b, smoothness=1.0)
     least_squares_loss(A, list(b), smoothness=1.0)
+
+
+DATA_LOSSES = {"logistic": logistic_loss, "least_squares": least_squares_loss,
+               "kl": kl_loss}
+# each broadcasts against A x or fails later, so the loss would solve
+# another problem or raise at its first value
+BAD_TARGETS = {"length_1": lambda M: np.ones(1),
+               "one_short": lambda M: np.ones(M - 1),
+               "column": lambda M: np.ones((M, 1))}
+
+
+@pytest.mark.parametrize("target", list(BAD_TARGETS.values()),
+                         ids=list(BAD_TARGETS))
+@pytest.mark.parametrize("storage", ["dense", "csr", "wide"])
+@pytest.mark.parametrize("make", list(DATA_LOSSES.values()),
+                         ids=list(DATA_LOSSES))
+def test_a_target_without_one_entry_per_row_is_refused(make, storage,
+                                                       target):
+    # dense takes least squares' normal route, csr and wide its residual one
+    shape = (4, 7) if storage == "wide" else (7, 4)
+    A = np.random.default_rng(19).random(shape) + 0.1
+    if storage == "csr":
+        A = sparse.csr_matrix(A)
+    bad = target(shape[0])
+    name = "y" if make is logistic_loss else "b"
+    with pytest.raises(ValueError, match=re.escape(
+            "%s must have shape (%d,), one entry per row of A, got %r"
+            % (name, shape[0], bad.shape))):
+        make(A, bad)
+    make(A, np.ones(shape[0]))  # the same A with a fitting target
+
+
+@pytest.mark.parametrize("mu", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("make", [logistic_loss, least_squares_loss])
+def test_a_ridge_weight_that_is_negative_or_not_finite_is_refused(make, mu):
+    with pytest.raises(ValueError,
+                       match="mu must be nonnegative and finite"):
+        make(np.ones((3, 2)), np.ones(3), mu=mu)
 
 
 class TestLeastSquaresLoss:
