@@ -21,6 +21,10 @@ remembers A x, or A^T A x where it formed A^T A. The logistic loss
 remembers the margins t = -y * (A x) with exp(-|t|), so the exponential
 too is taken once per point, and the KL loss remembers
 (A x, log(A x / b)), so the logarithm too is taken once per point.
+Least squares and the logistic loss expose that product, linear in x, as
+product(x) and take one handed to them by set_product(x, p): a momentum
+row forms the product at its extrapolated point from those at its last
+two iterates, and so pays one product instead of two.
 The least-squares, logistic, KL and quadratic losses refuse data holding
 a nan or an infinity at construction, before any other work.
 """
@@ -58,7 +62,10 @@ class _IdentityMemo:
         for key, val in self._memo:
             if key is x:
                 return val
-        val = self._fn(x, *args)
+        return self.remember(x, self._fn(x, *args))
+
+    def remember(self, x, val):
+        """Take val as the value at x, as a call at x would have given it."""
         self._memo.appendleft((x, val))
         return val
 
@@ -148,8 +155,12 @@ def _with_ridge_grad(g: np.ndarray, mu: float, x) -> np.ndarray:
 def _logistic_point(x, A, neg_y):
     """(t, exp(-|t|)) with margins t = -y * (A x), the pair LogisticLoss's
     value and gradient share, from neg_y = -y. A sign flip is exact, so
-    (A x) * (-y) is the float -(y * (A x)) and copysign(t, -1) is -|t|."""
-    t = _vector(A @ x) * neg_y
+    (A x) * (-y) is the float -(y * (A x))."""
+    return _logistic_pair(_vector(A @ x) * neg_y)
+
+
+def _logistic_pair(t):
+    """(t, exp(-|t|)) for margins t; copysign(t, -1) is -|t|."""
     e = np.copysign(t, -1.0)
     np.exp(e, out=e)
     return t, e
@@ -229,6 +240,14 @@ class LogisticLoss:
         # of M divides to the same floats, faster
         g = _vector(self._AT @ w) / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
+
+    def product(self, x) -> np.ndarray:
+        """The margins t = -y * (A x), which value and grad derive from."""
+        return self._point(x, self.A, self._neg_y)[0]
+
+    def set_product(self, x, t) -> None:
+        """Take t, kept and not to be written into, as product(x)."""
+        self._point.remember(x, _logistic_pair(t))
 
 
 class LeastSquaresLoss:
@@ -314,6 +333,17 @@ class LeastSquaresLoss:
         else:
             g = _vector(self._AT @ self._resid(x)) / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
+
+    def product(self, x) -> np.ndarray:
+        """Q x on the normal route, else A x: what value and grad use."""
+        if self._normal is not None:
+            return self._normal_product(x, self._normal[0])
+        return self._product(x, self.A)
+
+    def set_product(self, x, p) -> None:
+        """Take p, kept and not to be written into, as product(x)."""
+        (self._product if self._normal is None
+         else self._normal_product).remember(x, p)
 
 
 class KlLoss:

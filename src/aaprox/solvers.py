@@ -34,7 +34,7 @@ from scipy.linalg.blas import ddot
 
 from .anderson import AAConfig, AndersonEngine
 from .problems import (PROJECTION_KINDS, CompositeProblem, DomainError,
-                       _euclidean_prox, _IdentityMemo)
+                       _euclidean_prox)
 
 __all__ = [
     "IterationTrace",
@@ -123,16 +123,10 @@ def descent_check(f_test: float, f_curr: float, grad_norm_sq: float,
     return f_test <= f_curr - 0.5 * gamma * grad_norm_sq
 
 
-def _descent_guard():
-    """descent_check as the loop's guard, for one run: ||grad f(x)||^2 is
-    worked out once per gradient, not once per guard call. Each call looks
-    descent_check up in this module, so a patched name sees every one."""
-    grad_norm_sq = _IdentityMemo(lambda grad: float(grad.dot(grad)), 1)
-
-    def guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
-        return descent_check(f_test, f_curr, grad_norm_sq(grad), gamma)
-
-    return guard
+def _descent_guard(f_test, f_curr, grad, x_plain, x, gamma) -> bool:
+    """descent_check as the loop's guard. Each call looks descent_check up
+    in this module, so a patched name sees every one."""
+    return descent_check(f_test, f_curr, float(grad.dot(grad)), gamma)
 
 
 def _value_or_inf(f, x) -> float:
@@ -232,7 +226,9 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     z = x + beta_k (x - x_prev), beta_k = k / (k + 3), instead of from x, so
     row 0 is the plain step. It has no residual or stop before its step: it
     records ||x_next - x|| / gamma and, after its row, stops when that is at
-    most tol * max(1, ||x_next||).
+    most tol * max(1, ||x_next||). Where f has set_product, z's product is
+    formed from f.product at x and x_prev by the operations that form z, in
+    a new array, and handed to f before f.grad(z).
     """
     start = time.perf_counter()
     f, h = problem.f, problem.h
@@ -241,14 +237,23 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
     trace = IterationTrace(keep_iterates)
     termination = "max_iters"
     x_prev = x
+    carried = _momentum and hasattr(f, "set_product")
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if carried:
+            p_x = p_prev = f.product(x)
         for k in range(max(max_iters, 1)):  # the first step is always taken
             z = x
             if _momentum:
+                beta = k / (k + 3.0)
                 z = x - x_prev
-                z *= k / (k + 3.0)
+                z *= beta
                 z += x
+                if carried:
+                    p_z = p_x - p_prev
+                    p_z *= beta
+                    p_z += p_x
+                    f.set_product(z, p_z)
             grad = f.grad(z)
             g = gamma * grad
             np.subtract(mirror(z), g, out=g)
@@ -306,6 +311,8 @@ def _proximal_gradient(problem, x, y, gamma: float, mirror, to_primal,
             if _momentum and _stop(rn, x, tol):
                 termination = "tol"
                 break
+            if carried:  # f.value(x) above took this product
+                p_prev, p_x = p_x, f.product(x)
 
     return SolveReport(x, trace, termination, gamma)
 
@@ -382,7 +389,7 @@ def run_guarded_aa_pga(problem: CompositeProblem, x0,
     """
     return _run_euclidean(problem, x0, gamma,
                           AAConfig(m=5) if aa_config is None else aa_config,
-                          _descent_guard(), tol=tol, max_iters=max_iters,
+                          _descent_guard, tol=tol, max_iters=max_iters,
                           keep_iterates=keep_iterates)
 
 
@@ -397,10 +404,12 @@ def run_nesterov_pga(problem: CompositeProblem, x0,
     recorded residual is the difference quotient ||x_{k+1} - x_k|| / gamma,
     a surrogate for the gradient mapping norm. A row records the objective
     at x_{k+1}, a prox output, so f alone where h's kind is in
-    PROJECTION_KINDS. The first row whose objective is not finite records
-    inf and ends the run as "degenerate"; the loop ignores overflow,
-    underflow and invalid operations, so such a run is reported, not
-    warned about.
+    PROJECTION_KINDS. Where f exposes its linear product, as least squares
+    and the logistic loss do, a row takes one product, at x_{k+1}, and
+    forms the one at the extrapolated point from the last two. The first
+    row whose objective is not finite records inf and ends the run as
+    "degenerate"; the loop ignores overflow, underflow and invalid
+    operations, so such a run is reported, not warned about.
     """
     return _run_euclidean(problem, x0, gamma, None, None, tol=tol,
                           max_iters=max_iters, keep_iterates=keep_iterates,

@@ -53,7 +53,7 @@ from aaprox.problems import (
     zero_term,
 )
 from aaprox.solvers import descent_check, run_aa_pga, run_guarded_aa_pga, \
-    run_pga
+    run_nesterov_pga, run_pga
 
 
 def announce(num, label, detail):
@@ -506,6 +506,52 @@ def test_euclidean_runs_against_outside_optima(benchmarks, outside_optima):
                 (name, target, kg, kp)
             details.append("%s %.0e %d vs %s" % (name, target, kg, kp))
     print("outside optima: PASS (%s)" % "; ".join(details))
+
+
+# (relative target, rows a momentum run may take to reach it): the rows
+# measured against the outside F* (logreg 75 and 317, nnls 220 and 2681)
+# plus about a third.
+MOMENTUM_TARGETS = {"logreg": ((1e-6, 100), (1e-10, 400)),
+                    "nnls": ((1e-6, 300), (1e-10, 3000))}
+
+
+def test_momentum_runs_against_outside_optima(benchmarks, outside_optima):
+    # each run on a loss of its own whose set_product records what the loop
+    # carries to z; another loss on the same data takes the direct product
+    details = []
+    for name, targets in MOMENTUM_TARGETS.items():
+        inst = benchmarks["instances"][name]
+        f = inst["problem"].f
+        if name == "logreg":
+            def make():
+                return logistic_loss(f.A, f.y, mu=f.mu)
+        else:
+            def make():
+                return least_squares_loss(f.A, f.b)
+        loss, direct = make(), make()
+        carried = []
+        set_product = loss.set_product
+
+        def record(z, p, set_product=set_product):
+            carried.append((z, p))
+            set_product(z, p)
+
+        loss.set_product = record
+        prob = CompositeProblem(loss, inst["problem"].h, f.n)
+        rep = run_nesterov_pga(prob, inst["x0"], inst["gamma"], tol=0.0,
+                               max_iters=targets[-1][1])
+        assert len(carried) == rep.iterations
+        for z, p in carried:
+            exact = direct.product(z)
+            assert np.abs(p - exact).max() <= 1e-12 * np.abs(exact).max()
+        f_star = outside_optima[name]
+        gaps = (np.array(rep.trace.objective) - f_star) / max(1.0, abs(f_star))
+        assert gaps.min() >= -1e-12, (name, gaps.min())
+        for target, budget in targets:
+            k = first_hit(gaps, 0.0, target)
+            assert k is not None and k <= budget, (name, target, k)
+            details.append("%s %.0e %d" % (name, target, k))
+    print("momentum against outside optima: PASS (%s)" % "; ".join(details))
 
 
 @pytest.fixture(scope="module")

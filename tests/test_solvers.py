@@ -935,61 +935,33 @@ class TestBoundProbe:
         assert (loss.domain_errors > 0) == (bad == -5.0)
 
 class TestDescentGuard:
-    """run_guarded_aa_pga's guard: descent_check, with ||grad f(x)||^2
-    worked out once per gradient."""
+    """run_guarded_aa_pga's guard: descent_check, with ||grad f(x)||^2 of
+    the gradient it is given."""
 
-    def test_every_guard_call_reaches_descent_check_once_per_gradient(
-            self, monkeypatch):
+    def test_every_guard_call_reaches_descent_check(self, monkeypatch):
         f, run = _nnls_case()
         ref = run()
 
-        # the gradients f returns count the products taken with themselves
-        returned, squared = {}, []
-
-        class Gradient(np.ndarray):
-            def dot(self, other, *args, **kwargs):
-                if other is self and returned.get(id(self)) is self:
-                    squared.append(self)
-                return np.ndarray.dot(self, other, *args, **kwargs)
-
-        grad = f.grad
-
-        def counted_grad(x):
-            g = grad(x).view(Gradient)
-            returned[id(g)] = g
-            return g
-
-        # the guard run_guarded_aa_pga builds, and the module name it checks
+        # the guard run_guarded_aa_pga takes, and the module name it checks
         # through, which the benchmark tracer patches
         guarded, checked = [], []
-        factory, check = solvers._descent_guard, solvers.descent_check
+        guard, check = solvers._descent_guard, solvers.descent_check
 
-        def counted_factory():
-            guard = factory()
-
-            def counted(*args):
-                guarded.append(args[2])
-                return guard(*args)
-
-            return counted
+        def counted(*args):
+            guarded.append(args[2])
+            return guard(*args)
 
         def spy(*args):
             checked.append(args)
             return check(*args)
 
-        monkeypatch.setattr(f, "grad", counted_grad)
-        monkeypatch.setattr(solvers, "_descent_guard", counted_factory)
+        monkeypatch.setattr(solvers, "_descent_guard", counted)
         monkeypatch.setattr(solvers, "descent_check", spy)
         rep = run()
 
-        assert len(checked) == len(guarded)
+        assert len(checked) == len(guarded) > 0
         for (_, _, grad_norm_sq, _), g in zip(checked, guarded):
-            assert grad_norm_sq == float(np.ndarray.dot(g, g))
-        # one square per row the guard judged, though such a row asks it
-        # more than twice on average
-        rows = sum(kind != "plain" for kind in rep.trace.step_kind)
-        assert len(squared) == len({id(g) for g in guarded}) == rows > 0
-        assert len(guarded) > 2 * rows
+            assert grad_norm_sq == float(g.dot(g))
         assert rep.trace.objective == ref.trace.objective
         assert rep.trace.residual == ref.trace.residual
         assert rep.trace.step_kind == ref.trace.step_kind
@@ -1458,24 +1430,58 @@ def momentum_case(name, seed=0):
     return CompositeProblem(loss, term, n), np.zeros(n), 1.0 / loss.smoothness
 
 
+# A loss that carries its product takes z's product as p(x) + beta (p(x) -
+# p(x_prev)), not as p(z), so its momentum runs differ from the reference in
+# the last bits; they are held to this relative bound, about 4500 float64
+# eps.
+CARRIED_RTOL = 1e-12
+
+
+def assert_near(got, expected, scale):
+    """|got - expected| <= CARRIED_RTOL * scale entry by entry, with an
+    infinite entry of expected matched exactly."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    finite = np.isfinite(expected)
+    assert (got[~finite] == expected[~finite]).all()
+    bound = CARRIED_RTOL * np.broadcast_to(scale, expected.shape)[finite]
+    assert (np.abs(got[finite] - expected[finite]) <= bound).all()
+
+
 class TestMomentumMatchesItsOwnLoop:
-    """run_nesterov_pga runs on the shared loop; its traces, iterates, x,
-    termination and gamma are those of the loop it had, bit for bit."""
+    """run_nesterov_pga runs on the shared loop; its step kinds, row count,
+    termination and gamma are those of the loop it had. Its objectives,
+    residuals, iterates and x are that loop's bit for bit where the loss
+    has no product to carry, and within CARRIED_RTOL where it has one."""
 
     @staticmethod
     def assert_same(prob, x0, gamma, **options):
         got = run_nesterov_pga(prob, x0, gamma, keep_iterates=True, **options)
         ref = reference_nesterov_pga(prob, x0, gamma, keep_iterates=True,
                                      **options)
-        assert got.trace.objective == ref.trace.objective
-        assert got.trace.residual == ref.trace.residual
         assert got.trace.step_kind == ref.trace.step_kind
         assert len(got.trace.iterates) == len(ref.trace.iterates)
-        for a, b in zip(got.trace.iterates, ref.trace.iterates):
-            assert a.tobytes() == b.tobytes()
-        assert got.x.tobytes() == ref.x.tobytes()
         assert got.termination == ref.termination
         assert got.gamma == ref.gamma
+        if not hasattr(prob.f, "set_product"):
+            assert got.trace.objective == ref.trace.objective
+            assert got.trace.residual == ref.trace.residual
+            for a, b in zip(got.trace.iterates, ref.trace.iterates):
+                assert a.tobytes() == b.tobytes()
+            assert got.x.tobytes() == ref.x.tobytes()
+            return got
+        # objectives relative to themselves; iterates and x relative to
+        # their largest entry; a residual ||x_k+1 - x_k|| / gamma relative to
+        # the larger of the two iterates it differences, since its rounding
+        # comes from theirs
+        objective = np.array(ref.trace.objective)
+        assert_near(got.trace.objective, objective, np.abs(objective))
+        size = [np.abs(x0).max()]
+        for a, b in zip(got.trace.iterates, ref.trace.iterates):
+            size.append(np.abs(b).max())
+            assert_near(a, b, size[-1])
+        assert_near(got.trace.residual, ref.trace.residual,
+                    np.maximum(size[:-1], size[1:]) / gamma)
+        assert_near(got.x, ref.x, size[-1])
         return got
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -1509,6 +1515,58 @@ class TestMomentumMatchesItsOwnLoop:
         rep = self.assert_same(prob, np.full_like(x0, -0.0), gamma,
                                max_iters=0)
         assert rep.iterations == 1
+
+
+class CountingCsr(sparse.csr_matrix):
+    """A CSR matrix that counts the products A @ x made on it."""
+
+    forward = 0
+
+    def __matmul__(self, x):
+        self.forward += 1
+        return super().__matmul__(x)
+
+
+class TestMomentumCarriesTheProduct:
+    """N momentum rows on a loss that exposes its product take N + 1
+    products: one at x0 and one at each row's x_next, which the row's
+    objective takes; the product at z is formed from the last two."""
+
+    ROWS = 40
+
+    def test_normal_route_takes_one_symmetric_product_per_row(
+            self, monkeypatch):
+        calls = []
+        symv = problems._symmetric_product
+
+        def counted(x, Q):
+            calls.append(x)
+            return symv(x, Q)
+
+        # before the loss is built, whose memo holds the function
+        monkeypatch.setattr(problems, "_symmetric_product", counted)
+        prob, x0, gamma = momentum_case("nnls")
+        assert prob.f._normal is not None
+        calls.clear()  # Lanczos, for L
+        rep = run_nesterov_pga(prob, x0, gamma, max_iters=self.ROWS)
+        assert rep.iterations == self.ROWS
+        assert len(calls) == self.ROWS + 1
+
+    @pytest.mark.parametrize("name", ["logreg", "nnls"])
+    def test_csr_losses_take_one_product_with_A_per_row(self, name):
+        prob, x0, gamma = momentum_case(name)
+        f = prob.f
+        A = CountingCsr(f.A)
+        if name == "logreg":
+            loss = logistic_loss(A, f.y, mu=f.mu)
+        else:
+            loss = least_squares_loss(A, f.b)
+            assert loss._normal is None
+        A.forward = 0  # Lanczos, for L
+        rep = run_nesterov_pga(CompositeProblem(loss, prob.h, prob.n), x0,
+                               gamma, max_iters=self.ROWS)
+        assert rep.iterations == self.ROWS
+        assert A.forward == self.ROWS + 1
 
 
 @pytest.mark.parametrize("driver", [run_pga, run_aa_pga, run_guarded_aa_pga,
