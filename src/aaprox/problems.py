@@ -5,15 +5,16 @@ least-squares and logistic losses the default constant is exact: the top
 squared singular value of A, scaled, plus 2 mu for the ridge term. Where
 least squares forms A^T A (below), it takes that value as the top
 eigenvalue of A^T A, by Lanczos through the symmetric product its
-iterations use, and does not read A for it. Losses
-remember what they derive from their product at each of the last two
-points, keyed on the argument object, so evaluating the value at a point
-and then the gradient at the same point costs one product, even with one
-other point evaluated in between. That product is A @ x, and each gradient
-adds one product with A^T, except for least squares on a dense A with no
-more columns than rows: it forms its normal matrix A^T A once and needs
-only one symmetric product A^T A x per point, which BLAS symv takes from
-the upper triangle. Callers must not mutate iterate arrays in place.
+iterations use, and does not read A for it. Each loss holds one memo of
+what it derives from its product, at the last two points, keyed on the
+argument x alone, so evaluating the value at a point and then the
+gradient at the same point costs one product, even with one other point
+evaluated in between. That product is A @ x, and each gradient adds one
+product with A^T, except for least squares on a dense A with no more
+columns than rows: it forms its normal matrix A^T A once and needs only
+one symmetric product A^T A x per point, which BLAS symv takes from the
+upper triangle, and takes A x only where its value falls back to the
+residual. Callers must not mutate iterate arrays in place.
 What does not depend on the point is worked out at construction: the KL
 loss finds its live rows (those not identically zero) once, so value,
 gradient and domain check run on the live rows alone. Least squares
@@ -26,7 +27,8 @@ product(x) and take one handed to them by set_product(x, p): a momentum
 row forms the product at its extrapolated point from those at its last
 two iterates, and so pays one product instead of two.
 The least-squares, logistic, KL and quadratic losses refuse data holding
-a nan or an infinity at construction, before any other work.
+a nan or an infinity at construction, before any other work; the first
+three also refuse an A with no rows.
 """
 
 from __future__ import annotations
@@ -50,19 +52,18 @@ class UnsupportedProxError(ValueError):
 
 
 class _IdentityMemo:
-    """fn(x, *args) with its values at the last `size` arguments x remembered
-    by object identity. args are not part of the key, and an x must not be
-    mutated in place once passed."""
+    """fn(x) with its values at the last two arguments x remembered by
+    object identity; an x must not be mutated in place once passed."""
 
-    def __init__(self, fn, size: int = 2):
+    def __init__(self, fn):
         self._fn = fn
-        self._memo = deque(maxlen=size)
+        self._memo = deque(maxlen=2)
 
-    def __call__(self, x, *args):
+    def __call__(self, x):
         for key, val in self._memo:
             if key is x:
                 return val
-        return self.remember(x, self._fn(x, *args))
+        return self.remember(x, self._fn(x))
 
     def remember(self, x, val):
         """Take val as the value at x, as a call at x would have given it."""
@@ -120,8 +121,10 @@ def _canonical(A):
 
 
 def _data(A, target, name: str):
-    """(A through _canonical, target as floats); ValueError unless both are
-    finite and target has exactly one entry per row of A."""
+    """(A through _canonical, target as floats); ValueError unless A has a
+    row, both are finite and target has exactly one entry per row of A."""
+    if not A.shape[0]:
+        raise ValueError("A must have at least one row")
     _require_finite("A", A)
     _require_finite(name, target)
     A = _canonical(A)
@@ -152,13 +155,6 @@ def _with_ridge_grad(g: np.ndarray, mu: float, x) -> np.ndarray:
     return g
 
 
-def _logistic_point(x, A, neg_y):
-    """(t, exp(-|t|)) with margins t = -y * (A x), the pair LogisticLoss's
-    value and gradient share, from neg_y = -y. A sign flip is exact, so
-    (A x) * (-y) is the float -(y * (A x))."""
-    return _logistic_pair(_vector(A @ x) * neg_y)
-
-
 def _logistic_pair(t):
     """(t, exp(-|t|)) for margins t; copysign(t, -1) is -|t|."""
     e = np.copysign(t, -1.0)
@@ -175,10 +171,9 @@ def _some_at_most(x, bound: float) -> bool:
             and bool((x <= bound).any()))
 
 
-def _kl_point(x, A, b):
-    """(A x, log(A x / b)), the pair KlLoss's value and gradient share;
-    DomainError unless every entry of A x is positive."""
-    u = _vector(A @ x)
+def _kl_point(u, b):
+    """(u, log(u / b)) for u = A x, the pair KlLoss's value and gradient
+    share; DomainError unless every entry of u is positive."""
     if _some_at_most(u, 0.0):
         raise DomainError("A x must be positive on every nonzero row")
     ratio = u / b
@@ -216,22 +211,24 @@ class LogisticLoss:
             raise ValueError("labels must be -1 or +1, got %r" % (labels,))
         self.A = A
         self._AT = A.T  # a sparse A builds its transpose anew on each .T
-        self._neg_y = -self.y
+        self._neg_y = neg_y = -self.y
         self.M, self.n = A.shape
         if smoothness is None:
             smoothness = operator_norm_sq(A) / (4.0 * self.M) + 2.0 * self.mu
         self.smoothness = float(smoothness)
-        self._point = _IdentityMemo(_logistic_point)
+        # a sign flip is exact, so (A x) * (-y) is the float -(y * (A x))
+        self._point = _IdentityMemo(
+            lambda x: _logistic_pair(_vector(A @ x) * neg_y))
 
     def value(self, x) -> float:
-        t, e = self._point(x, self.A, self._neg_y)
+        t, e = self._point(x)
         v = np.maximum(t, 0.0)
         v += np.log1p(e)
         # the float v.mean() gives, without its wrapper
         return _with_ridge(float(v.sum()) / self.M, self.mu, x)
 
     def grad(self, x) -> np.ndarray:
-        t, e = self._point(x, self.A, self._neg_y)
+        t, e = self._point(x)
         # e <= 1, so this is np.where(t >= 0, 1.0, e) without its branches
         w = np.maximum(e, t >= 0.0)
         w /= 1.0 + e
@@ -243,7 +240,7 @@ class LogisticLoss:
 
     def product(self, x) -> np.ndarray:
         """The margins t = -y * (A x), which value and grad derive from."""
-        return self._point(x, self.A, self._neg_y)[0]
+        return self._point(x)[0]
 
     def set_product(self, x, t) -> None:
         """Take t, kept and not to be written into, as product(x)."""
@@ -253,10 +250,11 @@ class LogisticLoss:
 class LeastSquaresLoss:
     """value(x) = ||A x - b||_2^2 / (2 M) + mu ||x||_2^2.
 
-    Two routes, fixed at construction by A. A dense ndarray with n <= M
+    Two routes, fixed at construction by A, each with one memo of its
+    product at the last two points, keyed on x. A dense ndarray with n <= M
     takes the normal-matrix route: Q = A^T A, c = A^T b and b^T b are formed
     once, which holds n^2 doubles for Q, and value and gradient at x share
-    one symmetric product Q x, remembered for the last two points. BLAS
+    one symmetric product Q x, the product this route remembers. BLAS
     symv takes that product from the upper triangle of Q alone. The default
     smoothness constant is lambda_max(Q) / M + 2 mu, with lambda_max(Q) from
     Lanczos through that same symv product, so it is the top eigenvalue of
@@ -268,10 +266,11 @@ class LeastSquaresLoss:
     Near an exact fit the three terms of that value cancel. Whenever
     x^T Q x + 2 |c^T x| + b^T b exceeds 2^16 times their signed sum, which
     covers every negative sum, the value is taken from the residual
-    instead. The test scales the terms by 2^-16, not the sum by 2^16, so a
-    finite value never overflows in it. A value from Q therefore loses at
-    most 16 bits to cancellation: its error is within about 2^16 times the
-    rounding error of its terms.
+    instead, with a product A x of its own: this fallback is the only place
+    the route reads A after construction. The test scales the terms by
+    2^-16, not the sum by 2^16, so a finite value never overflows in it. A
+    value from Q therefore loses at most 16 bits to cancellation: its error
+    is within about 2^16 times the rounding error of its terms.
 
     Sparse A, any other matrix-like A and wide dense A (n > M) take the
     residual route: r = A x - b with A x remembered for the last two points,
@@ -290,60 +289,57 @@ class LeastSquaresLoss:
         A, self.b = _data(A, b, "b")
         self.A, self._AT = A, A.T
         self.M, self.n = A.shape
-        self._product = _IdentityMemo(_product)
         self._normal = None
         if isinstance(A, np.ndarray) and self.n <= self.M:
             dense = np.asarray(A, dtype=float)
             # the product is exactly symmetric, so its transpose is the
             # same matrix in Fortran order
             Q = (dense.T @ dense).T
-            self._normal = (Q, dense.T @ self.b, float(np.dot(self.b, self.b)))
-            # keyed on x alone, so Q x cannot share the memo of A x
-            self._normal_product = _IdentityMemo(_symmetric_product)
+            self._normal = (dense.T @ self.b, float(np.dot(self.b, self.b)))
+            symv = lambda v: _symmetric_product(v, Q)
             if smoothness is None:
                 # Q is positive semidefinite, so it is zero where its
                 # diagonal is
-                top = _top_eigenvalue(lambda v: _symmetric_product(v, Q),
-                                      self.n, Q.dtype, Q.diagonal().any())
+                top = _top_eigenvalue(symv, self.n, Q.dtype,
+                                      Q.diagonal().any())
                 smoothness = top / self.M + 2.0 * self.mu
-        if smoothness is None:
-            smoothness = operator_norm_sq(A) / self.M + 2.0 * self.mu
+            self._product = _IdentityMemo(symv)
+        else:
+            self._product = _IdentityMemo(lambda v: _product(v, A))
+            if smoothness is None:
+                smoothness = operator_norm_sq(A) / self.M + 2.0 * self.mu
         self.smoothness = float(smoothness)
 
-    def _resid(self, x):
-        return self._product(x, self.A) - self.b
-
     def value(self, x) -> float:
+        p = self._product(x)
         if self._normal is not None:
-            Q, c, bb = self._normal
-            quad = float(x.dot(self._normal_product(x, Q)))
+            c, bb = self._normal
+            quad = float(x.dot(p))
             lin = float(c.dot(x))
             sq = quad - 2.0 * lin + bb
             if (quad * 2.0 ** -16 + abs(lin) * 2.0 ** -15
                     + bb * 2.0 ** -16 <= sq):
                 return _with_ridge(sq / (2.0 * self.M), self.mu, x)
-        r = self._resid(x)
+            p = _product(x, self.A)
+        r = p - self.b
         return _with_ridge(float(r.dot(r)) / (2.0 * self.M), self.mu, x)
 
     def grad(self, x) -> np.ndarray:
+        p = self._product(x)
         if self._normal is not None:
-            Q, c, _ = self._normal
-            g = self._normal_product(x, Q) - c
+            g = p - self._normal[0]
             g /= float(self.M)  # as in LogisticLoss.grad
         else:
-            g = _vector(self._AT @ self._resid(x)) / float(self.M)
+            g = _vector(self._AT @ (p - self.b)) / float(self.M)
         return _with_ridge_grad(g, self.mu, x)
 
     def product(self, x) -> np.ndarray:
         """Q x on the normal route, else A x: what value and grad use."""
-        if self._normal is not None:
-            return self._normal_product(x, self._normal[0])
-        return self._product(x, self.A)
+        return self._product(x)
 
     def set_product(self, x, p) -> None:
         """Take p, kept and not to be written into, as product(x)."""
-        (self._product if self._normal is None
-         else self._normal_product).remember(x, p)
+        self._product.remember(x, p)
 
 
 class KlLoss:
@@ -386,18 +382,18 @@ class KlLoss:
             b = b[live]
         self._live_A, self._live_b = A, b
         self._live_AT = A.T  # a sparse A builds its transpose anew on each .T
-        self._point = _IdentityMemo(_kl_point)
+        self._point = _IdentityMemo(lambda x: _kl_point(_vector(A @ x), b))
 
     def value(self, x) -> float:
         b = self._live_b
-        u, ratio = self._point(x, self._live_A, b)
+        u, ratio = self._point(x)
         t = u * ratio
         t -= u
         t += b
         return float(t.sum() + self._zero_row_mass)
 
     def grad(self, x) -> np.ndarray:
-        _, ratio = self._point(x, self._live_A, self._live_b)
+        _, ratio = self._point(x)
         return _vector(self._live_AT @ ratio)
 
 

@@ -375,6 +375,19 @@ def test_a_target_without_one_entry_per_row_is_refused(make, storage,
     make(A, np.ones(shape[0]))  # the same A with a fitting target
 
 
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("make", list(DATA_LOSSES.values()),
+                         ids=list(DATA_LOSSES))
+def test_data_with_no_rows_is_refused(make, storage):
+    # logistic and least squares divided L by M = 0, and KL built a loss
+    # that was 0 everywhere, with L = 0
+    A = np.zeros((0, 3))
+    if storage == "csr":
+        A = sparse.csr_matrix(A)
+    with pytest.raises(ValueError, match="^A must have at least one row$"):
+        make(A, np.zeros(0))
+
+
 @pytest.mark.parametrize("mu", [np.inf, np.nan, -1.0])
 @pytest.mark.parametrize("make", [logistic_loss, least_squares_loss])
 def test_a_ridge_weight_that_is_negative_or_not_finite_is_refused(make, mu):

@@ -57,6 +57,7 @@ from aaprox.solvers import (
     run_nesterov_pga,
     run_pga,
 )
+from test_problems import CountingCsr
 
 
 def lasso_problem(seed=0, M=30, n=12, lam=0.1):
@@ -1517,16 +1518,6 @@ class TestMomentumMatchesItsOwnLoop:
         assert rep.iterations == 1
 
 
-class CountingCsr(sparse.csr_matrix):
-    """A CSR matrix that counts the products A @ x made on it."""
-
-    forward = 0
-
-    def __matmul__(self, x):
-        self.forward += 1
-        return super().__matmul__(x)
-
-
 class TestMomentumCarriesTheProduct:
     """N momentum rows on a loss that exposes its product take N + 1
     products: one at x0 and one at each row's x_next, which the row's
@@ -1567,6 +1558,76 @@ class TestMomentumCarriesTheProduct:
                                gamma, max_iters=self.ROWS)
         assert rep.iterations == self.ROWS
         assert A.forward == self.ROWS + 1
+
+
+class DistinctPoints:
+    """A loss that keeps each distinct point passed to its value or grad,
+    by object identity; the points are held, so no id is reused."""
+
+    def __init__(self, loss):
+        self.loss, self.smoothness = loss, loss.smoothness
+        self.points = {}
+
+    def value(self, x):
+        self.points[id(x)] = x
+        return self.loss.value(x)
+
+    def grad(self, x):
+        self.points[id(x)] = x
+        return self.loss.grad(x)
+
+
+class TestOneProductPerDistinctPoint:
+    """pga, aa and guarded runs take exactly one product per distinct point
+    that the loop passes to f.value or f.grad. A guarded row evaluates its
+    candidate and its plain point, so its loss must remember two points at
+    once; plain and aa rows need only one."""
+
+    ROWS = 500
+    DRIVERS = {"pga": run_pga,
+               "aa": partial(run_aa_pga, aa_config=AAConfig(m=5)),
+               "guarded": partial(run_guarded_aa_pga,
+                                  aa_config=AAConfig(m=5))}
+
+    def run(self, driver, prob, loss, x0, gamma):
+        counted = DistinctPoints(loss)
+        rep = self.DRIVERS[driver](CompositeProblem(counted, prob.h, prob.n),
+                                   x0, gamma, tol=0.0, max_iters=self.ROWS)
+        assert rep.iterations == self.ROWS
+        points = len(counted.points)
+        # plain and aa rows each pass one new point after the start; only
+        # guarded rows pass more, their candidates, and need a second slot
+        assert (points > self.ROWS + 1) == (driver == "guarded")
+        return points
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    @pytest.mark.parametrize("name", ["logreg", "nnls"])
+    def test_csr_losses(self, name, driver):
+        # logistic and residual-route least squares: products with A
+        prob, x0, gamma = momentum_case(name)
+        f = prob.f
+        A = CountingCsr(f.A)
+        if name == "logreg":
+            loss = logistic_loss(A, f.y, mu=f.mu)
+        else:
+            loss = least_squares_loss(A, f.b)
+            assert loss._normal is None
+        A.forward = 0  # Lanczos, for L
+        points = self.run(driver, prob, loss, x0, gamma)
+        assert A.forward == points
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_normal_route(self, monkeypatch, driver):
+        # dense least squares: symmetric products with A^T A
+        calls = []
+        symv = problems._symmetric_product
+        monkeypatch.setattr(problems, "_symmetric_product",
+                            lambda x, Q: calls.append(x) or symv(x, Q))
+        prob, x0, gamma = momentum_case("nnls")
+        assert prob.f._normal is not None
+        calls.clear()  # Lanczos, for L
+        points = self.run(driver, prob, prob.f, x0, gamma)
+        assert len(calls) == points
 
 
 @pytest.mark.parametrize("driver", [run_pga, run_aa_pga, run_guarded_aa_pga,
