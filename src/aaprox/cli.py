@@ -270,10 +270,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for method in config.methods:
         reports[method] = _run_method(method, problem, gamma, x0, config)
 
-    finite_objs = [o for rep in reports.values() for o in rep.trace.objective
-                   if np.isfinite(o)]
+    columns = [np.asarray(rep.trace.objective) for rep in reports.values()]
+    finite = [c[np.isfinite(c)] for c in columns]
     # with no finite objective there is no best, and every gap is nan
-    best = min(finite_objs) if finite_objs else np.nan
+    best = min((float(c.min()) for c in finite if c.size), default=np.nan)
 
     single = len(config.methods) == 1
     summary = {"config": asdict(config), "results": {}}

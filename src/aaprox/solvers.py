@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,21 @@ def _stop(residual_norm: float, g: np.ndarray, tol: float) -> bool:
 class IterationTrace:
     """Per-iteration log: objective, residual norm, step kind, elapsed time.
 
+    objective, residual and elapsed are array('d') columns and step_kind a
+    list of the loop's interned strings, so a row costs 32 bytes (three
+    doubles and one pointer) where three float objects cost about 104.
+    np.asarray(column) reads the column's buffer without a copy; while
+    that view lives, the column cannot grow. Indexing or iterating a
+    column gives Python floats. A column equals another column but not a
+    list, so compare list(column) with a list.
     With keep_iterates, each row given an x keeps it in iterates.
     """
 
     def __init__(self, keep_iterates: bool = False):
-        self.objective: list[float] = []
-        self.residual: list[float] = []
+        self.objective = array("d")
+        self.residual = array("d")
         self.step_kind: list[str] = []
-        self.elapsed: list[float] = []
+        self.elapsed = array("d")
         self.keep_iterates = keep_iterates
         self.iterates: list[np.ndarray] = []
 
@@ -91,10 +99,10 @@ class IterationTrace:
 
     def record(self, objective: float, residual: float, step_kind: str,
                elapsed: float, x=None) -> None:
-        self.objective.append(float(objective))
-        self.residual.append(float(residual))
+        self.objective.append(objective)
+        self.residual.append(residual)
         self.step_kind.append(step_kind)
-        self.elapsed.append(float(elapsed))
+        self.elapsed.append(elapsed)
         if self.keep_iterates and x is not None:
             self.iterates.append(x)
 

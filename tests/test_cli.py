@@ -187,8 +187,10 @@ class TestRunExperiment:
         assert cols["iter"] == [str(i + 1) for i in range(len(rows))]
         report = reports["guarded_aa_pga"]
         # 17 significant digits: values survive the text round trip exactly
-        assert [float(v) for v in cols["objective"]] == report.trace.objective
-        assert [float(v) for v in cols["residual"]] == report.trace.residual
+        assert ([float(v) for v in cols["objective"]]
+                == list(report.trace.objective))
+        assert ([float(v) for v in cols["residual"]]
+                == list(report.trace.residual))
         assert cols["step_kind"] == report.trace.step_kind
 
         with open(out / "summary.json") as fh:
